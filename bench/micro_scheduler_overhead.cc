@@ -9,10 +9,8 @@
 #include <benchmark/benchmark.h>
 
 #include "cluster/placement.h"
-#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/allocator.h"
-#include "core/planner_concurrency.h"
 #include "workload/perf_model.h"
 
 namespace ef {
@@ -77,16 +75,14 @@ BM_ResourceAllocation(benchmark::State &state)
 BENCHMARK(BM_ResourceAllocation)->Arg(8)->Arg(32);
 
 /**
- * The hot-path stress case: 2048 GPUs, 1000 jobs. Minimum shares are
- * packed latest so slot 0 has headroom and the greedy upgrade loop
- * actually runs to depth — with earliest packing the fixture
- * degenerates (slot 0 saturates on minimum shares alone and the loop
- * exits immediately).
+ * The hot-path stress case: 1000 jobs on 2048 to 65536 GPUs. Minimum
+ * shares are packed latest so slot 0 has headroom and the greedy
+ * upgrade loop actually runs to depth — with earliest packing the
+ * fixture degenerates (slot 0 saturates on minimum shares alone and
+ * the loop exits immediately).
  */
-enum class AllocMode { kReference, kIncremental, kSharded };
-
 void
-BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
+BM_ResourceAllocationLarge(benchmark::State &state)
 {
     const int num_jobs = static_cast<int>(state.range(0));
     const GpuCount gpus = static_cast<GpuCount>(state.range(1));
@@ -100,39 +96,12 @@ BM_ResourceAllocationLarge(benchmark::State &state, AllocMode mode)
         state.SkipWithError("fixture infeasible");
         return;
     }
-    // Pool and shard layout are built once, outside the timed region —
-    // they are amortized across every replan of a scheduler's lifetime.
-    ThreadPool pool(4);
-    PlannerConcurrency concurrency;
-    concurrency.shards = 4;
-    concurrency.pool = &pool;
     for (auto _ : state) {
-        switch (mode) {
-          case AllocMode::kReference:
-            benchmark::DoNotOptimize(run_allocation_reference(
-                config, 0.0, jobs, admission.plans, {}));
-            break;
-          case AllocMode::kIncremental:
-            benchmark::DoNotOptimize(run_allocation(
-                config, 0.0, jobs, admission.plans, {}));
-            break;
-          case AllocMode::kSharded:
-            benchmark::DoNotOptimize(run_allocation_sharded(
-                config, 0.0, jobs, admission.plans, {}, concurrency));
-            break;
-        }
+        benchmark::DoNotOptimize(
+            run_allocation(config, 0.0, jobs, admission.plans, {}));
     }
 }
-BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, incremental,
-                  AllocMode::kIncremental)
-    ->Args({1000, 2048})
-    ->Args({1000, 16384})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, reference,
-                  AllocMode::kReference)
-    ->Args({1000, 2048})
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_ResourceAllocationLarge, sharded, AllocMode::kSharded)
+BENCHMARK(BM_ResourceAllocationLarge)
     ->Args({1000, 2048})
     ->Args({1000, 16384})
     ->Args({1000, 65536})

@@ -3,16 +3,16 @@
  * The only threading primitive in the tree: a fixed pool of worker
  * threads driving `parallel_for` index loops.
  *
- * Planner sharding (DESIGN.md §10) needs data parallelism without
- * giving up determinism, so the contract here is deliberately narrow:
- * `parallel_for(count, fn)` calls `fn(i)` exactly once for every
- * `i` in `[0, count)`, with `fn` required to touch only state owned by
- * index `i` (disjoint output slots, per-index scratch). Under that
- * discipline the result of a loop is a pure function of its inputs —
- * thread interleaving can reorder the *execution* of indices but never
- * their *effects*, because no two indices share mutable state and all
- * cross-index reduction happens sequentially on the caller after the
- * loop joins.
+ * The tools' `--jobs N` scans (DESIGN.md §7) need data parallelism
+ * without giving up determinism, so the contract here is deliberately
+ * narrow: `parallel_for(count, fn)` calls `fn(i)` exactly once for
+ * every `i` in `[0, count)`, with `fn` required to touch only state
+ * owned by index `i` (disjoint output slots, per-index scratch). Under
+ * that discipline the result of a loop is a pure function of its
+ * inputs — thread interleaving can reorder the *execution* of indices
+ * but never their *effects*, because no two indices share mutable
+ * state and all cross-index reduction happens sequentially on the
+ * caller after the loop joins.
  *
  * Raw `<thread>` / `<mutex>` / `<atomic>` use anywhere else in `src/`
  * is rejected by the ef-lint `threading` rule; scheduler and simulator

@@ -125,12 +125,9 @@ class Scheduler
     virtual std::vector<JobId> take_demotions() { return {}; }
 
     /**
-     * Request shard-parallel planning (DESIGN.md §10): split each
-     * planning round into @p shards per-pod shards and run the shard
-     * phase on @p threads worker threads. Decisions are bit-identical
-     * to single-threaded planning for any setting — this is purely an
-     * execution strategy. Default: ignored (policies without a sharded
-     * planner formulation plan as before). shards <= 0 disables.
+     * No-op kept for source compatibility: planning is single-threaded
+     * and no policy overrides this, so any setting plans identically.
+     * Scheduler decorators may still forward it.
      */
     virtual void set_planner_concurrency(int shards, int threads)
     {

@@ -140,16 +140,6 @@ struct SimConfig
     /** Streaming admission front end; disabled = classic per-arrival
      *  admission, byte-identical to runs predating this knob. */
     ServiceModeConfig service;
-    /**
-     * Shard-parallel planning (DESIGN.md §10): forwarded to the
-     * scheduler via Scheduler::set_planner_concurrency. shards <= 0
-     * keeps the classic single-threaded planner. Decisions — and
-     * RunResult::state_hash — are bit-identical for any setting.
-     */
-    int planner_shards = 0;
-    /** Shard-phase worker threads (including the caller); <= 1 runs
-     *  shards inline. Only read when planner_shards is positive. */
-    int planner_threads = 1;
     /** Crash consistency (snapshot + journal); off by default. */
     DurabilityConfig durability;
     /**
