@@ -43,8 +43,8 @@
  * Determinism contract: the SA stream is an `ef::Rng` whose cursor
  * (and engine state), the governor bucket, the budget ledger and the
  * accepted-move log all fold into `fingerprint()` and the snapshot
- * codec, so defrag-enabled runs double-run, shard-sweep and
- * crash-recover to byte-identical `state_hash` values.
+ * codec, so defrag-enabled runs double-run and crash-recover to
+ * byte-identical `state_hash` values.
  */
 #ifndef EF_DEFRAG_DEFRAG_H_
 #define EF_DEFRAG_DEFRAG_H_
