@@ -4,14 +4,19 @@
  * latency — the analogue of the paper's claim that scheduling overhead
  * is negligible next to the ~23-minute scheduling interval: admission
  * control (Algorithm 1), resource allocation (Algorithm 2), buddy
- * placement with defragmentation, and performance-model evaluation.
+ * placement with defragmentation, and performance-model evaluation —
+ * plus whole simulated runs, to show how a run scales with its trace.
  */
 #include <benchmark/benchmark.h>
 
 #include "cluster/placement.h"
 #include "common/rng.h"
 #include "core/allocator.h"
+#include "obs/metrics.h"
+#include "sched/elastic_flow.h"
+#include "sim/simulator.h"
 #include "workload/perf_model.h"
+#include "workload/trace_gen.h"
 
 namespace ef {
 namespace {
@@ -153,6 +158,43 @@ BM_PerfModelThroughput(benchmark::State &state)
     }
 }
 BENCHMARK(BM_PerfModelThroughput);
+
+/**
+ * A whole run at paper scale: a TraceGenerator trace on 2048 GPUs
+ * (mean interarrival 330 s, seed 7) replayed through Simulator +
+ * ElasticFlowScheduler. The job count doubles along the family, so the
+ * time ratio of neighbouring entries is the cost of one doubling; the
+ * jobs_touched counter (sim.jobs_touched, from one extra run with
+ * metrics on) is its machine-independent twin.
+ */
+void
+BM_EndToEnd(benchmark::State &state)
+{
+    TraceGenConfig gen;
+    gen.topology = TopologySpec::with_total_gpus(2048);
+    gen.num_jobs = static_cast<int>(state.range(0));
+    gen.mean_interarrival_s = 330.0;
+    gen.seed = 7;
+    const Trace trace = TraceGenerator::generate(gen);
+    {
+        obs::MetricsRegistry registry;
+        obs::MetricsScope scope(&registry);
+        ElasticFlowScheduler scheduler;
+        Simulator(trace, &scheduler).run();
+        state.counters["jobs_touched"] = static_cast<double>(
+            registry.counter("sim.jobs_touched").value());
+    }
+    for (auto _ : state) {
+        ElasticFlowScheduler scheduler;
+        Simulator sim(trace, &scheduler);
+        benchmark::DoNotOptimize(sim.run());
+    }
+}
+BENCHMARK(BM_EndToEnd)
+    ->Arg(1000)
+    ->Arg(2000)
+    ->Arg(4000)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ef

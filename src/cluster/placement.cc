@@ -9,6 +9,36 @@
 #include "obs/metrics.h"
 
 namespace ef {
+namespace {
+
+/** Kinds of non-idle element that contribute to ownership_digest(). */
+enum DigestTerm : std::uint64_t {
+    kOwnedGpu = 1,
+    kDownGpu = 2,
+    kDownServer = 3,
+};
+
+/** splitmix64 finalizer: a bijective 64-bit mixer, so that different
+ *  multisets of terms are unlikely to share a sum. */
+std::uint64_t
+mix64(std::uint64_t x)
+{
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ULL;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebULL;
+    x ^= x >> 31;
+    return x;
+}
+
+std::uint64_t
+digest_term(DigestTerm kind, std::int64_t where, JobId owner = 0)
+{
+    return mix64(mix64(mix64(kind) + static_cast<std::uint64_t>(where)) +
+                 static_cast<std::uint64_t>(owner));
+}
+
+}  // namespace
 
 PlacementManager::PlacementManager(const Topology *topology)
     : topology_(topology)
@@ -129,7 +159,13 @@ PlacementManager::set_server_available(int server, bool available)
                      "server " << server
                                << " must be drained before going down");
     }
+    if (server_down_[static_cast<std::size_t>(server)] == !available)
+        return;
     server_down_[static_cast<std::size_t>(server)] = !available;
+    if (available)
+        ownership_digest_ -= digest_term(kDownServer, server);
+    else
+        ownership_digest_ += digest_term(kDownServer, server);
 }
 
 bool
@@ -154,12 +190,14 @@ PlacementManager::set_gpu_available(GpuCount gpu, bool available)
         --free_per_server_[s];
         ++down_per_server_[s];
         ++down_gpus_;
+        ownership_digest_ += digest_term(kDownGpu, gpu);
     } else {
         EF_CHECK_MSG(gpu_down_[g], "GPU " << gpu << " is not down");
         gpu_down_[g] = false;
         ++free_per_server_[s];
         --down_per_server_[s];
         --down_gpus_;
+        ownership_digest_ -= digest_term(kDownGpu, gpu);
     }
 }
 
@@ -208,6 +246,7 @@ PlacementManager::assign(JobId job, std::vector<GpuCount> gpus)
                      "GPU " << g << " is down");
         gpu_owner_[static_cast<std::size_t>(g)] = job;
         --free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
+        ownership_digest_ += digest_term(kOwnedGpu, g, job);
     }
     job_gpus_[job] = std::move(gpus);
 }
@@ -220,6 +259,7 @@ PlacementManager::unassign(JobId job)
     for (GpuCount g : it->second) {
         gpu_owner_[static_cast<std::size_t>(g)] = kInvalidJob;
         ++free_per_server_[static_cast<std::size_t>(topology_->server_of(g))];
+        ownership_digest_ -= digest_term(kOwnedGpu, g, job);
     }
     job_gpus_.erase(it);
 }
@@ -739,7 +779,6 @@ PlacementManager::repack_with(JobId new_job, GpuCount size,
                 new_owner[static_cast<std::size_t>(g)] = job;
                 new_gpus[job].push_back(g);
                 ++kept_per_server[static_cast<std::size_t>(s)];
-                row[static_cast<std::size_t>(s)] -= 0;  // tracked below
             }
         }
         for (int s = 0; s < n; ++s) {
@@ -929,6 +968,7 @@ PlacementManager::validate() const
     std::vector<GpuCount> free_check(free_per_server_.size(), 0);
     std::vector<GpuCount> down_check(down_per_server_.size(), 0);
     GpuCount down_total = 0;
+    std::uint64_t digest = 0;
     std::map<JobId, GpuCount> counts;
     for (GpuCount g = 0; g < topology_->total_gpus(); ++g) {
         JobId owner = gpu_owner_[static_cast<std::size_t>(g)];
@@ -938,10 +978,12 @@ PlacementManager::validate() const
             ++down_check[static_cast<std::size_t>(
                 topology_->server_of(g))];
             ++down_total;
+            digest += digest_term(kDownGpu, g);
         } else if (owner == kInvalidJob) {
             ++free_check[static_cast<std::size_t>(topology_->server_of(g))];
         } else {
             ++counts[owner];
+            digest += digest_term(kOwnedGpu, g, owner);
         }
     }
     EF_CHECK(free_check == free_per_server_);
@@ -952,8 +994,11 @@ PlacementManager::validate() const
             EF_CHECK(free_per_server_[static_cast<std::size_t>(s)] +
                          down_per_server_[static_cast<std::size_t>(s)] ==
                      topology_->gpus_per_server());
+            digest += digest_term(kDownServer, s);
         }
     }
+    EF_CHECK_MSG(digest == ownership_digest_,
+                 "ownership digest drifted from the placement");
     EF_CHECK(counts.size() == job_gpus_.size());
     for (const auto &[job, gpus] : job_gpus_) {
         EF_CHECK(counts[job] == static_cast<GpuCount>(gpus.size()));

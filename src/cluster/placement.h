@@ -96,6 +96,15 @@ class PlacementManager
     JobId owner_of(GpuCount gpu) const;
 
     /**
+     * Order-independent digest of every GPU's owner, every down GPU
+     * and every down server: a sum of one mixed term per non-idle
+     * element. It is maintained by each mutation, so reading it is
+     * O(1), and it is a pure function of the current state (a manager
+     * rebuilt through restore() has the same digest).
+     */
+    std::uint64_t ownership_digest() const { return ownership_digest_; }
+
+    /**
      * Place @p job on @p size GPUs. The job must not currently be
      * placed. With kBestFitCompact and @p allow_migration, power-of-two
      * requests succeed whenever idle_gpus() >= size; the result then
@@ -168,6 +177,7 @@ class PlacementManager
     std::vector<bool> gpu_down_;                // size total_gpus
     std::vector<GpuCount> down_per_server_;
     GpuCount down_gpus_ = 0;
+    std::uint64_t ownership_digest_ = 0;
 };
 
 }  // namespace ef

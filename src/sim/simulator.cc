@@ -136,24 +136,33 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
     result_.trace_name = trace_.name;
     result_.total_gpus = topology_.total_gpus();
 
+    jobs_.reserve(trace_.jobs.size());
+    index_.reserve(trace_.jobs.size());
     for (const JobSpec &spec : trace_.jobs) {
-        EF_FATAL_IF(jobs_.count(spec.id) > 0,
-                    "duplicate job id " << spec.id << " in trace");
-        auto job = std::make_unique<JobRt>();
-        job->spec = spec;
-        job->curve = curve_for(spec);
-        job->outcome.spec = spec;
+        JobRt job;
+        job.spec = spec;
+        job.curve = curve_for(spec);
+        job.outcome.spec = spec;
         if (config_.noise.throughput_error > 0.0) {
             // Deterministic per-job factor in [1 - e, 1 + e].
             Rng noise_rng(0x9e3779b9u ^
                           static_cast<std::uint64_t>(spec.id) * 2654435761u);
-            job->noise_factor = 1.0 + noise_rng.uniform_real(
-                                          -config_.noise.throughput_error,
-                                          config_.noise.throughput_error);
+            job.noise_factor = 1.0 + noise_rng.uniform_real(
+                                         -config_.noise.throughput_error,
+                                         config_.noise.throughput_error);
         }
-        jobs_.emplace(spec.id, std::move(job));
-        submit_order_.push_back(spec.id);
+        index_.emplace_back(spec.id, jobs_.size());
+        jobs_.push_back(std::move(job));
+        // A recovered run replaces the event queue from its snapshot.
+        events_.push(Event{spec.submit_time, next_seq_++, Event::kArrival,
+                           spec.id});
     }
+    std::sort(index_.begin(), index_.end());
+    auto dup = std::adjacent_find(
+        index_.begin(), index_.end(),
+        [](const auto &a, const auto &b) { return a.first == b.first; });
+    EF_FATAL_IF(dup != index_.end(),
+                "duplicate job id " << dup->first << " in trace");
     FaultConfig effective = config_.faults;
     if (config_.failures.enabled) {
         EF_FATAL_IF(config_.failures.server_mtbf_s <= 0.0,
@@ -188,20 +197,30 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
 
 Simulator::~Simulator() = default;
 
+std::size_t
+Simulator::index_of(JobId id) const
+{
+    auto it = std::lower_bound(
+        index_.begin(), index_.end(), id,
+        [](const auto &entry, JobId key) { return entry.first < key; });
+    return it != index_.end() && it->first == id ? it->second
+                                                 : jobs_.size();
+}
+
 Simulator::JobRt &
 Simulator::rt(JobId id)
 {
-    auto it = jobs_.find(id);
-    EF_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-    return *it->second;
+    const std::size_t index = index_of(id);
+    EF_CHECK_MSG(index < jobs_.size(), "unknown job " << id);
+    return jobs_[index];
 }
 
 const Simulator::JobRt &
 Simulator::rt(JobId id) const
 {
-    auto it = jobs_.find(id);
-    EF_CHECK_MSG(it != jobs_.end(), "unknown job " << id);
-    return *it->second;
+    const std::size_t index = index_of(id);
+    EF_CHECK_MSG(index < jobs_.size(), "unknown job " << id);
+    return jobs_[index];
 }
 
 GpuCount
@@ -214,11 +233,11 @@ Simulator::total_gpus() const
 std::vector<JobId>
 Simulator::active_jobs() const
 {
+    obs::count("sim.jobs_touched", live_.size());
     std::vector<JobId> active;
-    for (JobId id : submit_order_) {
-        if (rt(id).active())
-            active.push_back(id);
-    }
+    active.reserve(live_.size());
+    for (std::size_t index : live_)
+        active.push_back(jobs_[index].spec.id);
     return active;
 }
 
@@ -264,8 +283,10 @@ void
 Simulator::advance_progress(Time to)
 {
     EF_CHECK(to >= now_);
-    for (auto &[id, job_ptr] : jobs_) {
-        JobRt &job = *job_ptr;
+    // Jobs outside live_ hold no GPUs and make no progress.
+    obs::count("sim.jobs_touched", live_.size());
+    for (std::size_t index : live_) {
+        JobRt &job = jobs_[index];
         Time t0 = job.last_update;
         if (to <= t0) {
             continue;
@@ -514,13 +535,14 @@ Simulator::apply_decision(const SchedulerDecision &decision)
     // (largest first so compact placements are found while space is
     // contiguous).
     std::vector<JobId> grows;
-    for (JobId id : active_jobs()) {
-        JobRt &job = rt(id);
-        GpuCount desired = decision.of(id);
+    obs::count("sim.jobs_touched", live_.size());
+    for (std::size_t index : live_) {
+        JobRt &job = jobs_[index];
+        GpuCount desired = decision.of(job.spec.id);
         if (desired < job.gpus)
             apply_resize(job, desired);
         else if (desired > job.gpus)
-            grows.push_back(id);
+            grows.push_back(job.spec.id);
     }
     std::stable_sort(grows.begin(), grows.end(),
                      [&decision](JobId a, JobId b) {
@@ -537,9 +559,11 @@ Simulator::record_timelines()
     record_fragmentation();
     if (!config_.record_efficiency)
         return;
+    // Summed in ascending id order: the bits of a floating-point sum
+    // depend on its order.
     double ce = 0.0;
-    for (const auto &[id, job_ptr] : jobs_) {
-        const JobRt &job = *job_ptr;
+    for (std::size_t index : live_by_id()) {
+        const JobRt &job = jobs_[index];
         if (job.state != JobState::kRunning || job.gpus <= 0)
             continue;
         GpuCount base = job.curve.min_workers();
@@ -562,14 +586,22 @@ Simulator::record_timelines()
     }
 }
 
+std::vector<std::size_t>
+Simulator::live_by_id() const
+{
+    obs::count("sim.jobs_touched", live_.size());
+    std::vector<std::size_t> order = live_;
+    std::sort(order.begin(), order.end(),
+              [this](std::size_t a, std::size_t b) {
+                  return jobs_[a].spec.id < jobs_[b].spec.id;
+              });
+    return order;
+}
+
 bool
 Simulator::any_nonterminal_jobs() const
 {
-    for (const auto &[id, job] : jobs_) {
-        if (job->active())
-            return true;
-    }
-    return false;
+    return !live_.empty();
 }
 
 void
@@ -638,7 +670,8 @@ Simulator::queue_scripted_faults()
                                             : fault_->gpu_repair_s();
             break;
           case FaultType::kStraggler:
-            EF_FATAL_IF(jobs_.count(static_cast<JobId>(ev.target)) == 0,
+            EF_FATAL_IF(index_of(static_cast<JobId>(ev.target)) ==
+                            jobs_.size(),
                         "scripted straggler targets unknown job "
                             << ev.target);
             event.kind = Event::kStragglerStart;
@@ -808,8 +841,15 @@ Simulator::handle_straggler_end(JobId id)
     JobRt &job = rt(id);
     if (job.straggler_factor <= 1.0 || now_ < job.straggler_until)
         return;  // stale event (a newer window superseded this one)
+    // A job that finished while straggling is already in the retired
+    // sum: re-fold it so the sum keeps matching its record.
+    const bool retired = !job.active();
+    if (retired)
+        retired_sum_ -= job_digest(job);
     job.straggler_factor = 1.0;
     job.straggler_until = -kTimeInfinity;
+    if (retired)
+        retired_sum_ += job_digest(job);
     obs::emit({now_, obs::EventKind::kStragglerEnd, id});
     if (job.state == JobState::kRunning && job.gpus > 0)
         refresh_throughput(job);
@@ -836,32 +876,19 @@ Simulator::state_hash() const
     h.f64(now_);
     h.u64(next_seq_);
     h.u64(fault_epoch_);
-    // Job queue, in the (deterministic) submission order.
-    for (JobId id : submit_order_) {
-        const JobRt &job = rt(id);
-        h.i64(id);
-        h.u64(static_cast<std::uint64_t>(job.state));
-        h.byte(job.arrived ? 1 : 0);
-        h.f64(job.executed);
-        h.f64(job.attained_gpu_seconds);
-        h.f64(job.last_update);
-        h.f64(job.progress_resume);
-        h.f64(job.checkpoint_iters);
-        h.f64(job.current_tpt);
-        h.f64(job.straggler_factor);
-        h.f64(job.straggler_until);
-        h.i64(job.gpus);
-    }
+    // Live jobs in submit order. A job that has not arrived still has
+    // its initial record; a retired one is in retired_sum_.
+    obs::count("sim.jobs_touched", live_.size());
+    h.u64(live_.size());
+    for (std::size_t index : live_)
+        h.u64(job_digest(jobs_[index]));
+    h.u64(arrived_);
+    h.u64(accepted_);
+    h.u64(retired_sum_);
     // Concrete allocations and per-GPU health: which job owns which
     // GPU id, not just the counts — placement choices are part of the
     // determinism contract (they feed topology-dependent throughput).
-    const GpuCount total = topology_.total_gpus();
-    for (GpuCount gpu = 0; gpu < total; ++gpu) {
-        h.i64(placement_.owner_of(gpu));
-        h.byte(placement_.gpu_available(gpu) ? 1 : 0);
-    }
-    for (int server = 0; server < topology_.num_servers(); ++server)
-        h.byte(placement_.server_available(server) ? 1 : 0);
+    h.u64(placement_.ownership_digest());
     // Service mode: queued-but-undecided submissions and the token
     // bucket are determinism-relevant state the job fields don't see.
     if (service_governor_ != nullptr) {
@@ -880,6 +907,45 @@ Simulator::state_hash() const
     if (defrag_ != nullptr)
         h.u64(defrag_->fingerprint());
     return h.digest();
+}
+
+std::uint64_t
+Simulator::job_digest(const JobRt &job)
+{
+    Fnv1a h;
+    h.i64(job.spec.id);
+    h.u64(static_cast<std::uint64_t>(job.state));
+    h.byte(job.arrived ? 1 : 0);
+    h.f64(job.executed);
+    h.f64(job.attained_gpu_seconds);
+    h.f64(job.last_update);
+    h.f64(job.progress_resume);
+    h.f64(job.checkpoint_iters);
+    h.f64(job.current_tpt);
+    h.f64(job.straggler_factor);
+    h.f64(job.straggler_until);
+    h.i64(job.gpus);
+    return h.digest();
+}
+
+void
+Simulator::rebuild_live_state()
+{
+    live_.clear();
+    arrived_ = 0;
+    accepted_ = 0;
+    retired_sum_ = 0;
+    for (std::size_t index = 0; index < jobs_.size(); ++index) {
+        const JobRt &job = jobs_[index];
+        if (!job.arrived)
+            continue;
+        ++arrived_;
+        accepted_ += job.outcome.admitted ? 1 : 0;
+        if (job.active())
+            live_.push_back(index);
+        else
+            retired_sum_ += job_digest(job);
+    }
 }
 
 void
@@ -954,9 +1020,8 @@ Simulator::encode_state(recover::Encoder *enc) const
     }
     // Jobs, in submission order. The spec is stored (not rebuilt from
     // the trace) because service mode mutates it in place on degrade.
-    enc->u64(submit_order_.size());
-    for (JobId id : submit_order_) {
-        const JobRt &job = rt(id);
+    enc->u64(jobs_.size());
+    for (const JobRt &job : jobs_) {
         serve::encode_job_spec(enc, job.spec);
         serve::encode_curve(enc, job.curve);
         enc->boolean(job.arrived);
@@ -1105,12 +1170,11 @@ Simulator::decode_state(recover::Decoder *dec)
         e.job = static_cast<JobId>(job);
         events_.push(e);
     }
-    if (!dec->count(&n, 64) || n != submit_order_.size())
+    if (!dec->count(&n, 64) || n != jobs_.size())
         return corrupt;
-    for (JobId id : submit_order_) {
-        JobRt &job = rt(id);
+    for (JobRt &job : jobs_) {
         JobSpec spec;
-        if (!serve::decode_job_spec(dec, &spec) || spec.id != id)
+        if (!serve::decode_job_spec(dec, &spec) || spec.id != job.spec.id)
             return corrupt;
         ScalingCurve curve;
         if (!serve::decode_curve(dec, &curve) || curve.empty())
@@ -1177,7 +1241,7 @@ Simulator::decode_state(recover::Decoder *dec)
         server_down[static_cast<std::size_t>(i)] = down;
     }
     for (JobId id : owner) {
-        if (id != kInvalidJob && jobs_.count(id) == 0)
+        if (id != kInvalidJob && index_of(id) == jobs_.size())
             return corrupt;
     }
     if (!dec->ok())
@@ -1204,7 +1268,7 @@ Simulator::decode_state(recover::Decoder *dec)
     for (std::uint64_t i = 0; i < n; ++i) {
         std::int64_t id = 0;
         if (!dec->i64(&id) ||
-            jobs_.count(static_cast<JobId>(id)) == 0)
+            index_of(static_cast<JobId>(id)) == jobs_.size())
             return corrupt;
         service_queue_.push_back(static_cast<JobId>(id));
     }
@@ -1300,6 +1364,7 @@ Simulator::decode_state(recover::Decoder *dec)
     result_.service_degraded = static_cast<int>(counters[13]);
     result_.max_service_queue_depth =
         static_cast<std::size_t>(max_depth);
+    rebuild_live_state();
     return Status{};
 }
 
@@ -1472,7 +1537,6 @@ Simulator::commit_round(bool terminal)
     }
     if (will_crash) {
         crashed_ = true;
-        obs::count("fault.sched_crashes");
         EF_INFO("scheduler crash injected at round "
                 << round << " (t=" << format_double(now_, 3) << " s)");
     }
@@ -1563,8 +1627,7 @@ Simulator::flush_replan()
         ++result_.replans_elided;
         if (obs::tracing()) {
             obs::emit({now_, obs::EventKind::kReplanBegin, kInvalidJob,
-                       static_cast<std::int64_t>(
-                           active_jobs().size())});
+                       static_cast<std::int64_t>(live_.size())});
             obs::emit({now_, obs::EventKind::kReplanEnd, kInvalidJob,
                        /*executed=*/0, /*resizes=*/0});
         }
@@ -1575,7 +1638,7 @@ Simulator::flush_replan()
     }
     if (obs::tracing()) {
         obs::emit({now_, obs::EventKind::kReplanBegin, kInvalidJob,
-                   static_cast<std::int64_t>(active_jobs().size())});
+                   static_cast<std::int64_t>(live_.size())});
     }
     const std::size_t log_before = result_.allocation_log.size();
     SchedulerDecision decision = scheduler_->allocate();
@@ -1608,8 +1671,9 @@ Simulator::flush_replan()
                          since_last);
         }
         std::int64_t waiting = 0;
-        for (const auto &[id, job] : jobs_) {
-            if (job->active() && job->state == JobState::kWaiting)
+        obs::count("sim.jobs_touched", live_.size());
+        for (std::size_t index : live_) {
+            if (jobs_[index].state == JobState::kWaiting)
                 ++waiting;
         }
         obs::observe("sim.queue_depth", kQueueDepthEdges,
@@ -1661,17 +1725,18 @@ Simulator::maybe_defrag()
 {
     if (defrag_ == nullptr || !defrag_->try_begin_round(now_))
         return;
-    // Eligible movers: running jobs currently holding GPUs. jobs_ is
-    // ordered, so the list ascends by id as the planner requires.
+    // Eligible movers: running jobs currently holding GPUs, ascending
+    // by id as the planner requires.
     std::vector<defrag::DefragJob> eligible;
-    for (const auto &[id, job] : jobs_) {
-        if (job->state != JobState::kRunning || job->gpus <= 0 ||
-            !placement_.is_placed(id))
+    for (std::size_t index : live_by_id()) {
+        const JobRt &job = jobs_[index];
+        if (job.state != JobState::kRunning || job.gpus <= 0 ||
+            !placement_.is_placed(job.spec.id))
             continue;
         defrag::DefragJob dj;
-        dj.id = id;
-        dj.model = job->spec.model;
-        dj.global_batch = job->spec.global_batch;
+        dj.id = job.spec.id;
+        dj.model = job.spec.model;
+        dj.global_batch = job.spec.global_batch;
         eligible.push_back(dj);
     }
     ++result_.defrag_rounds;
@@ -1768,27 +1833,28 @@ Simulator::apply_admission(JobId id, bool admitted)
     }
     JobRt &job = rt(id);
     job.arrived = true;
+    // Progress is only advanced for live jobs; until now this one had
+    // nothing to account.
+    job.last_update = now_;
     job.outcome.admitted = admitted;
+    ++arrived_;
     if (!admitted) {
         job.state = JobState::kDropped;
+        retired_sum_ += job_digest(job);
         obs::emit({now_, obs::EventKind::kJobReject, id});
         obs::count("sim.jobs.rejected");
         EF_DEBUG("job " << id << " dropped at submission");
     } else {
         job.state = JobState::kWaiting;
+        ++accepted_;
+        const std::size_t index = index_of(id);
+        live_.insert(std::upper_bound(live_.begin(), live_.end(), index),
+                     index);
         obs::emit({now_, obs::EventKind::kJobAdmit, id});
         obs::count("sim.jobs.admitted");
     }
-
-    std::size_t submitted = 0, accepted = 0;
-    for (const auto &[jid, j] : jobs_) {
-        if (j->arrived) {
-            ++submitted;
-            accepted += j->outcome.admitted ? 1 : 0;
-        }
-    }
-    result_.submitted_jobs.record(now_, static_cast<double>(submitted));
-    result_.admitted_jobs.record(now_, static_cast<double>(accepted));
+    result_.submitted_jobs.record(now_, static_cast<double>(arrived_));
+    result_.admitted_jobs.record(now_, static_cast<double>(accepted_));
 }
 
 void
@@ -1931,6 +1997,8 @@ Simulator::handle_completion_check(JobId id)
     placement_.release(id);
     job.gpus = 0;
     job.current_tpt = 0.0;
+    live_.erase(std::lower_bound(live_.begin(), live_.end(), index_of(id)));
+    retired_sum_ += job_digest(job);
     if (obs::tracing()) {
         obs::emit({now_, obs::EventKind::kAllocChange, id, held});
         obs::emit({now_, obs::EventKind::kJobFinish, id, held});
@@ -1954,11 +2022,7 @@ Simulator::handle_tick()
 bool
 Simulator::work_pending() const
 {
-    for (const auto &[id, job] : jobs_) {
-        if (!job->arrived || job->active())
-            return true;
-    }
-    return false;
+    return arrived_ < jobs_.size() || !live_.empty();
 }
 
 RunResult
@@ -1970,10 +2034,6 @@ Simulator::run()
         EF_FATAL_IF(!st.ok(), "durability: " << st.to_string());
     }
     if (!recovered_) {
-        for (JobId id : submit_order_) {
-            events_.push(Event{rt(id).spec.submit_time, next_seq_++,
-                               Event::kArrival, id});
-        }
         if (fault_ != nullptr) {
             if (fault_->server_crashes_enabled()) {
                 for (int server = 0;
@@ -2070,8 +2130,7 @@ Simulator::run()
     }
 
     result_.jobs.clear();
-    for (JobId id : submit_order_) {
-        JobRt &job = rt(id);
+    for (JobRt &job : jobs_) {
         job.outcome.gpu_seconds = job.attained_gpu_seconds;
         result_.jobs.push_back(job.outcome);
         if (job.outcome.finished) {

@@ -19,9 +19,9 @@
 #define EF_SIM_SIMULATOR_H_
 
 #include <deque>
-#include <map>
 #include <memory>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "cluster/placement.h"
@@ -198,14 +198,21 @@ class Simulator : public ClusterView
 
     /**
      * Determinism auditor: FNV-1a hash of all determinism-relevant
-     * state — event clock, job queue (state, progress, attained
-     * service, pause windows), concrete GPU allocations and
-     * availability, and the fault injector's RNG cursors. Sampled and
-     * chained into RunResult::state_hash at every replan; two runs of
-     * the same (trace, scheduler, config) must produce identical
-     * digests, otherwise a hidden nondeterminism source crept in.
-     * Scheduler-internal state is not hashed directly: every decision
-     * it makes lands in the allocations, which are.
+     * state — event clock; every live job (state, progress, attained
+     * service, pause windows) in submit order; a commutative sum of
+     * the retired jobs' final records; the placement's ownership
+     * digest (concrete GPU owners, GPU and server availability); and
+     * the fault injector's RNG cursors. It costs O(live jobs): a job
+     * is folded into the retired sum once, when it finishes or is
+     * dropped, and PlacementManager updates its digest on every
+     * mutation. Both sums are pure functions of the current state, so
+     * a run recovered from a snapshot rebuilds them exactly.
+     *
+     * Sampled and chained into RunResult::state_hash at every replan;
+     * two runs of the same (trace, scheduler, config) must produce
+     * identical digests, otherwise a hidden nondeterminism source
+     * crept in. Scheduler-internal state is not hashed directly: every
+     * decision it makes lands in the allocations, which are.
      */
     std::uint64_t state_hash() const;
 
@@ -280,6 +287,12 @@ class Simulator : public ClusterView
     void schedule_completion(JobRt &job);
     void advance_progress(Time to);
     void record_timelines();
+    /** Live jobs' slots in ascending job-id order. */
+    std::vector<std::size_t> live_by_id() const;
+    /** One job's record, as state_hash() folds it. */
+    static std::uint64_t job_digest(const JobRt &job);
+    /** Rebuild live_, the counters and retired_sum_ from jobs_. */
+    void rebuild_live_state();
     bool any_nonterminal_jobs() const;
     bool work_pending() const;
     void arm_tick();
@@ -311,6 +324,8 @@ class Simulator : public ClusterView
     /** Re-executing journaled rounds (journaling suppressed). */
     bool replaying() const { return replay_next_ < replay_.size(); }
 
+    /** Slot of @p id in jobs_, or jobs_.size() when unknown. */
+    std::size_t index_of(JobId id) const;
     JobRt &rt(JobId id);
     const JobRt &rt(JobId id) const;
 
@@ -321,6 +336,7 @@ class Simulator : public ClusterView
     // ef-audit: transient(all: construction-time constant; recovery re-derives it from the run setup)
     SimConfig config_;
 
+    // ef-audit: transient(hash: construction-time constant from the trace; its shape is in config_fingerprint() and the ownership digest names its GPUs)
     Topology topology_;
     // ef-audit: transient(all: pure function of config_, no mutable state)
     PerfModel perf_;
@@ -334,9 +350,22 @@ class Simulator : public ClusterView
     std::priority_queue<Event, std::vector<Event>,
                         bool (*)(const Event &, const Event &)> events_;
 
-    // ef-audit: covered(hash, encode: every JobRt is hashed and journaled via the rt() loop over submit_order_)
-    std::map<JobId, std::unique_ptr<JobRt>> jobs_;
-    std::vector<JobId> submit_order_;
+    /** Every trace job, in trace (= submit) order. */
+    std::vector<JobRt> jobs_;
+    /** (id, slot in jobs_), sorted by id: the one lookup path. */
+    // ef-audit: transient(all: construction-time lookup from the trace's job ids to jobs_ slots)
+    std::vector<std::pair<JobId, std::size_t>> index_;
+    /** Slots of the arrived, waiting or running jobs, ascending. */
+    // ef-audit: transient(encode, decode: derived index; rebuilt from the decoded job table by rebuild_live_state())
+    std::vector<std::size_t> live_;
+    /** Jobs that got an admission verdict / a positive one. */
+    // ef-audit: transient(encode, decode: derived counter; rebuilt from the decoded job table by rebuild_live_state())
+    std::size_t arrived_ = 0;
+    // ef-audit: transient(encode, decode: derived counter; rebuilt from the decoded job table by rebuild_live_state())
+    std::size_t accepted_ = 0;
+    /** Sum of job_digest() over finished and dropped jobs. */
+    // ef-audit: transient(encode, decode: derived digest; rebuilt from the decoded job table by rebuild_live_state())
+    std::uint64_t retired_sum_ = 0;
 
     // ef-audit: transient(hash: re-armed deterministically from events_ at the next boundary)
     bool tick_armed_ = false;

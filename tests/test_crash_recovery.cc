@@ -15,6 +15,7 @@
 #include <string>
 
 #include "fault/fault.h"
+#include "obs/metrics.h"
 #include "recover/log.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
@@ -287,6 +288,22 @@ TEST(CrashRecovery, RecoverWithoutCrashIsIdempotent)
     ASSERT_TRUE(sim.prepare_durability().ok());
     RunResult again = sim.run();
     expect_identical(first, again, "recover after completion");
+}
+
+TEST(CrashRecovery, ScriptedCrashIsCountedOnce)
+{
+    const Trace trace = small_trace(42);
+    const std::string dir = fresh_dir("ef_crash_counted_once");
+    SimConfig config;
+    config.durability.journal_dir = dir;
+    config.faults.script.push_back(sched_crash_at_round(2));
+    obs::MetricsRegistry registry;
+    obs::MetricsScope scope(&registry);
+    auto scheduler = make_scheduler("elasticflow");
+    Simulator sim(trace, scheduler.get(), config);
+    sim.run();
+    ASSERT_TRUE(sim.crashed());
+    EXPECT_EQ(registry.counter("fault.sched_crashes").value(), 1u);
 }
 
 TEST(CrashRecovery, MismatchedTraceIsTypedError)

@@ -180,6 +180,11 @@ const Mutation kMutations[] = {
     {"jobrt-hash-drops-executed", "src/sim/simulator.cc",
      "h.f64(job.executed);", "",
      {{"ef::Simulator::JobRt::executed", "hash"}}},
+    // Live and retired jobs are both hashed through the job_digest
+    // fold, so a field dropped from it is unhashed for every job.
+    {"jobrt-fold-drops-straggler-until", "src/sim/simulator.cc",
+     "h.f64(job.straggler_until);", "",
+     {{"ef::Simulator::JobRt::straggler_until", "hash"}}},
     {"jobrt-decode-drops-executed", "src/sim/simulator.cc",
      "dec->f64(&job.executed);", "",
      {{"ef::Simulator::JobRt::executed", "decode"}}},

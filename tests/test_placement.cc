@@ -26,6 +26,88 @@ class PlacementTest : public testing::Test
     PlacementManager manager_;
 };
 
+/** ownership_digest() of a fresh manager restored from @p pm's state. */
+std::uint64_t
+rebuilt_digest(const Topology &topo, const PlacementManager &pm)
+{
+    const auto total = static_cast<std::size_t>(topo.total_gpus());
+    std::vector<JobId> owner(total);
+    std::vector<bool> gpu_down(total);
+    std::vector<bool> server_down(
+        static_cast<std::size_t>(topo.num_servers()));
+    for (std::size_t g = 0; g < total; ++g) {
+        owner[g] = pm.owner_of(static_cast<GpuCount>(g));
+        gpu_down[g] = !pm.gpu_available(static_cast<GpuCount>(g));
+    }
+    for (std::size_t s = 0; s < server_down.size(); ++s)
+        server_down[s] = !pm.server_available(static_cast<int>(s));
+    PlacementManager fresh(&topo);
+    fresh.restore(owner, gpu_down, server_down);
+    return fresh.ownership_digest();
+}
+
+TEST_F(PlacementTest, OwnershipDigestTracksEveryMutation)
+{
+    auto expect_fresh = [&](const char *what) {
+        manager_.validate();  // also rescans the digest from scratch
+        EXPECT_EQ(manager_.ownership_digest(),
+                  rebuilt_digest(topo_, manager_))
+            << what;
+    };
+    const std::uint64_t empty = manager_.ownership_digest();
+    expect_fresh("empty");
+    for (JobId job : {1, 2, 3, 4}) {
+        ASSERT_TRUE(manager_
+                        .place(job, 4, PlacementStrategy::kBestFitCompact,
+                               true)
+                        .ok);
+    }
+    expect_fresh("place");
+    ASSERT_TRUE(manager_
+                    .resize(3, 2, PlacementStrategy::kBestFitCompact, true)
+                    .ok);
+    expect_fresh("resize down");
+    ASSERT_TRUE(manager_
+                    .resize(3, 8, PlacementStrategy::kBestFitCompact, true)
+                    .ok);
+    expect_fresh("resize up");
+    manager_.release(3);
+    expect_fresh("release");
+
+    // A circular swap of two jobs' GPU sets changes the digest, and
+    // swapping back restores it.
+    const std::uint64_t before = manager_.ownership_digest();
+    const std::vector<GpuCount> a = manager_.gpus_of(1);
+    const std::vector<GpuCount> b = manager_.gpus_of(2);
+    manager_.apply_moves({{1, a, b}, {2, b, a}});
+    expect_fresh("apply_moves swap");
+    EXPECT_NE(manager_.ownership_digest(), before);
+    manager_.apply_moves({{1, b, a}, {2, a, b}});
+    EXPECT_EQ(manager_.ownership_digest(), before);
+
+    GpuCount idle = 0;
+    while (manager_.owner_of(idle) != kInvalidJob)
+        ++idle;
+    manager_.set_gpu_available(idle, false);
+    expect_fresh("GPU down");
+    EXPECT_NE(manager_.ownership_digest(), before);
+    manager_.set_gpu_available(idle, true);
+    expect_fresh("GPU up");
+    EXPECT_EQ(manager_.ownership_digest(), before);
+
+    const int last = topo_.num_servers() - 1;
+    ASSERT_EQ(manager_.free_in_server(last), topo_.gpus_per_server());
+    manager_.set_server_available(last, false);
+    expect_fresh("server down");
+    EXPECT_NE(manager_.ownership_digest(), before);
+    manager_.set_server_available(last, true);
+    EXPECT_EQ(manager_.ownership_digest(), before);
+
+    for (JobId job : {1, 2, 4})
+        manager_.release(job);
+    EXPECT_EQ(manager_.ownership_digest(), empty);
+}
+
 TEST_F(PlacementTest, BestFitPrefersTightestServer)
 {
     // Occupy 6 GPUs of server 0 so it has 2 free; server 1 full free.

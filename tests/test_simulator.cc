@@ -5,11 +5,19 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <map>
+#include <string>
+
 #include "common/math_util.h"
+#include "obs/metrics.h"
+#include "recover/log.h"
 #include "sched/scheduler.h"
 #include "sim/simulator.h"
 #include "test_util.h"
 #include "workload/trace_gen.h"
+#include "workload/trace_io.h"
 
 namespace ef {
 namespace {
@@ -325,6 +333,221 @@ TEST(Simulator, FailureAtArrivalBurstCoalescesIntoOneReplan)
     }
     EXPECT_TRUE(evicted_at_600);
     EXPECT_TRUE(replaced_at_600);
+}
+
+// --- trace ids that are neither contiguous nor in submit order ----------
+
+/**
+ * The churn preset re-keyed to scattered ids (0 -> 907, 1 -> 8826,
+ * 2 -> 6738, ...) and read back from CSV, as a production trace
+ * would be: job ids carry no order at all.
+ */
+Trace
+scattered_id_trace()
+{
+    Trace generated = TraceGenerator::generate(churn_preset());
+    for (JobSpec &job : generated.jobs)
+        job.id = (job.id * 7919 + 907) % 10007;
+    return parse_trace_csv(trace_to_csv(generated), generated.topology,
+                           "scattered-ids");
+}
+
+/** FixedScheduler that checks active_jobs() arrives in submit order. */
+class SubmitOrderProbe : public FixedScheduler
+{
+  public:
+    explicit SubmitOrderProbe(const Trace &trace)
+    {
+        for (std::size_t i = 0; i < trace.jobs.size(); ++i)
+            position_[trace.jobs[i].id] = i;
+    }
+
+    SchedulerDecision
+    allocate() override
+    {
+        const std::vector<JobId> active = view_->active_jobs();
+        for (std::size_t i = 1; i < active.size(); ++i) {
+            if (position_.at(active[i - 1]) >= position_.at(active[i]))
+                ++out_of_order;
+        }
+        most_active = std::max(most_active, active.size());
+        return FixedScheduler::allocate();
+    }
+
+    std::size_t out_of_order = 0;
+    std::size_t most_active = 0;
+
+  private:
+    std::map<JobId, std::size_t> position_;
+};
+
+TEST(SimulatorScatteredIds, ActiveJobsComeBackInSubmitOrder)
+{
+    const Trace trace = scattered_id_trace();
+    std::vector<JobId> ids;
+    for (const JobSpec &job : trace.jobs)
+        ids.push_back(job.id);
+    ASSERT_FALSE(std::is_sorted(ids.begin(), ids.end()));
+
+    SubmitOrderProbe probe(trace);
+    Simulator sim(trace, &probe);
+    RunResult result = sim.run();
+    EXPECT_GT(probe.most_active, 2u);
+    EXPECT_EQ(probe.out_of_order, 0u);
+    for (const JobOutcome &job : result.jobs)
+        EXPECT_TRUE(job.finished) << job.spec.id;
+}
+
+/** tiresias + budgeted defrag; the fault script only makes the
+ *  configuration match the crashing run below (without a journal a
+ *  scripted scheduler crash never fires). */
+SimConfig
+scattered_defrag_config()
+{
+    SimConfig config;
+    config.defrag.enabled = true;
+    config.defrag.budget_units_per_round = 16.0;
+    FaultEvent crash;
+    crash.type = FaultType::kSchedCrash;
+    crash.target = 1;
+    config.faults.script.push_back(crash);
+    return config;
+}
+
+RunResult
+run_tiresias(const Trace &trace, const SimConfig &config,
+             bool *crashed = nullptr)
+{
+    auto scheduler = make_scheduler("tiresias");
+    Simulator sim(trace, scheduler.get(), config);
+    if (config.durability.recover) {
+        recover::Status st = sim.prepare_durability();
+        EXPECT_TRUE(st.ok()) << st.to_string();
+    }
+    RunResult result = sim.run();
+    if (crashed != nullptr)
+        *crashed = sim.crashed();
+    return result;
+}
+
+TEST(SimulatorScatteredIds, DefragRunIsCompleteDeterministicAndRecoverable)
+{
+    // Defragmenter::plan_round dies unless its eligible list ascends
+    // by id, so completing proves the simulator sorts it by id rather
+    // than by submit order.
+    const Trace trace = scattered_id_trace();
+    const SimConfig config = scattered_defrag_config();
+    const RunResult first = run_tiresias(trace, config);
+    EXPECT_GT(first.defrag_rounds, 0);
+    EXPECT_GT(first.defrag_moves, 0);
+    for (const JobOutcome &job : first.jobs)
+        EXPECT_TRUE(job.finished || !job.admitted) << job.spec.id;
+
+    const RunResult again = run_tiresias(trace, config);
+    EXPECT_EQ(first.state_hash, again.state_hash);
+
+    // Kill the run halfway and recover it from its journal.
+    const std::string dir = testing::TempDir() + "/ef_scattered_ids";
+    std::remove(recover::DurableLog::snapshot_path(dir).c_str());
+    std::remove(recover::DurableLog::journal_path(dir).c_str());
+    SimConfig crash_config = config;
+    crash_config.durability.journal_dir = dir;
+    crash_config.faults.script[0].target =
+        static_cast<std::int64_t>(first.state_hash_samples / 2);
+    bool crashed = false;
+    run_tiresias(trace, crash_config, &crashed);
+    ASSERT_TRUE(crashed);
+    SimConfig recover_config = crash_config;
+    recover_config.durability.recover = true;
+    const RunResult recovered =
+        run_tiresias(trace, recover_config, &crashed);
+    EXPECT_FALSE(crashed);
+    EXPECT_EQ(recovered.state_hash, first.state_hash);
+    EXPECT_EQ(recovered.state_hash_samples, first.state_hash_samples);
+}
+
+TEST(SimulatorRetiredSum, StragglerEndingAfterCompletionRecoversIdentically)
+{
+    // Job 0 starts straggling at t = 600 for two hours and finishes
+    // inside that window, so the window closes on a retired job. Its
+    // record changes after it was folded into the retired sum; a
+    // recovery from a snapshot taken after that point rebuilds the sum
+    // from the decoded records and must land on the same hash.
+    Trace trace = TraceBuilder(TopologySpec::testbed_32())
+                      .slo(DnnModel::kResNet50, 128, 4, 0.0, kHour, 4.0)
+                      .slo(DnnModel::kBert, 64, 4, 0.0, 5 * kHour, 2.0)
+                      .build();
+    SimConfig config;
+    config.faults.script.push_back(
+        {600.0, FaultType::kStraggler, 0, 2 * kHour, 2.0});
+    FaultEvent crash;
+    crash.type = FaultType::kSchedCrash;
+    crash.target = 1;
+    config.faults.script.push_back(crash);
+    RunResult uninterrupted;
+    {
+        TickingFixedScheduler scheduler;
+        uninterrupted = Simulator(trace, &scheduler, config).run();
+    }
+    ASSERT_TRUE(uninterrupted.jobs[0].finished);
+    ASSERT_LT(uninterrupted.jobs[0].finish_time, 600.0 + 2 * kHour);
+    ASSERT_GT(uninterrupted.jobs[1].finish_time, 600.0 + 2 * kHour);
+
+    const std::string dir = testing::TempDir() + "/ef_retired_sum";
+    std::remove(recover::DurableLog::snapshot_path(dir).c_str());
+    std::remove(recover::DurableLog::journal_path(dir).c_str());
+    SimConfig crash_config = config;
+    crash_config.durability.journal_dir = dir;
+    crash_config.durability.snapshot_every = 1;
+    crash_config.faults.script.back().target =
+        static_cast<std::int64_t>(uninterrupted.state_hash_samples - 3);
+    {
+        TickingFixedScheduler scheduler;
+        Simulator sim(trace, &scheduler, crash_config);
+        sim.run();
+        ASSERT_TRUE(sim.crashed());
+    }
+    SimConfig recover_config = crash_config;
+    recover_config.durability.recover = true;
+    TickingFixedScheduler scheduler;
+    Simulator sim(trace, &scheduler, recover_config);
+    ASSERT_TRUE(sim.prepare_durability().ok());
+    const RunResult recovered = sim.run();
+    EXPECT_FALSE(sim.crashed());
+    EXPECT_EQ(recovered.state_hash, uninterrupted.state_hash);
+}
+
+// --- bookkeeping scales with live jobs, not trace length ----------------
+
+/** sim.jobs_touched over one paper-scale run of @p num_jobs jobs. */
+std::uint64_t
+jobs_touched(int num_jobs)
+{
+    TraceGenConfig gen;
+    gen.topology = TopologySpec::with_total_gpus(2048);
+    gen.num_jobs = num_jobs;
+    gen.mean_interarrival_s = 330.0;
+    gen.seed = 7;
+    const Trace trace = TraceGenerator::generate(gen);
+    auto scheduler = make_scheduler("elasticflow");
+    obs::MetricsRegistry registry;
+    obs::MetricsScope scope(&registry);
+    Simulator sim(trace, scheduler.get());
+    sim.run();
+    return registry.counter("sim.jobs_touched").value();
+}
+
+TEST(SimulatorScaling, JobsTouchedGrowLinearlyWithTraceLength)
+{
+    // At a fixed arrival rate the live set stays the same size, so
+    // doubling the trace should double the records the simulator's
+    // scans visit. Scanning every job per event would quadruple it.
+    const std::uint64_t base = jobs_touched(1000);
+    const std::uint64_t doubled = jobs_touched(2000);
+    ASSERT_GT(base, 0u);
+    const double growth =
+        static_cast<double>(doubled) / static_cast<double>(base);
+    EXPECT_LE(growth, 2.2) << base << " -> " << doubled;
 }
 
 }  // namespace
