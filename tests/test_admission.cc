@@ -171,6 +171,39 @@ TEST(ProgressiveFill, FractionalLastSlotCountsPartially)
 }
 
 /**
+ * Exact cost-unit gate: AdmissionOutcome::cost charges one unit per
+ * slot a fill touches, at every level it tries. The instance mixes
+ * jobs that fit at their first level with jobs that need several and
+ * a contended 256-GPU window, so failing levels dominate the count.
+ */
+TEST(Admission, CostUnitsArePinned)
+{
+    Rng rng(14);
+    PlannerConfig config = unit_config(256);
+    config.slot_seconds = 60.0;
+    std::vector<PlanningJob> jobs;
+    for (JobId id = 1; id <= 48; ++id) {
+        std::vector<double> table;
+        double tpt = rng.uniform_real(0.5, 2.0);
+        const int levels = static_cast<int>(rng.uniform_int(1, 7));
+        for (int k = 0; k < levels; ++k) {
+            table.push_back(tpt);
+            tpt *= rng.uniform_real(1.2, 1.9);
+        }
+        // Up to 90% of what the job's largest useful level finishes
+        // by the deadline: every job fits alone, most need to climb.
+        const Time deadline = rng.uniform_real(1800.0, 36000.0);
+        const double work =
+            table.back() * deadline * rng.uniform_real(0.1, 0.9);
+        jobs.push_back(make_job(id, ScalingCurve::from_pow2_table(table),
+                                work, deadline));
+    }
+    AdmissionOutcome outcome = run_admission(config, 0.0, jobs);
+    EXPECT_TRUE(outcome.feasible);
+    EXPECT_EQ(outcome.cost, 41503u);
+}
+
+/**
  * Theorem 1 (contrapositive direction): whenever the closed-form
  * linear-curve condition fails, progressive filling must also report
  * infeasible; whenever progressive filling succeeds, the condition

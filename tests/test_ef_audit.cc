@@ -267,8 +267,8 @@ TEST_P(EfAuditMutation, YieldsExactlyTheExpectedFindings)
 
 INSTANTIATE_TEST_SUITE_P(
     PerType, EfAuditMutation, ::testing::ValuesIn(kMutations),
-    [](const ::testing::TestParamInfo<Mutation> &info) {
-        std::string name = info.param.label;
+    [](const ::testing::TestParamInfo<Mutation> &param_info) {
+        std::string name = param_info.param.label;
         std::replace(name.begin(), name.end(), '-', '_');
         return name;
     });

@@ -229,6 +229,36 @@ TEST(Service, DoubleRunIsByteIdentical)
     }
 }
 
+/**
+ * Exact cost-unit gate: planning cost units are a pure function of
+ * the stream, and the watchdog budgets rounds in them, so a faster
+ * fill must charge exactly what the linear level scan charged. The
+ * fixture is the service soak's shape (64 GPUs, 100 jobs/s overload)
+ * at a test-sized submission count.
+ */
+TEST(Service, PlanningCostIsPinned)
+{
+    serve::ServiceConfig config;
+    config.total_gpus = 64;
+    config.queue_watermark = 64;
+    config.governor.rounds_per_second = 0.5;
+    config.governor.burst = 2.0;
+    config.governor.starvation_horizon_s = 120.0;
+    config.degrade_infeasible = true;
+    config.max_active_best_effort = 256;
+    serve::Service service(config);
+
+    serve::StreamConfig stream_config;
+    stream_config.topology = TopologySpec::with_total_gpus(64);
+    stream_config.arrival_rate = 100.0;
+    stream_config.seed = 3;
+    serve::SyntheticStream stream(stream_config);
+    for (int i = 0; i < 4000; ++i)
+        service.submit(stream.next());
+    service.finish();
+    EXPECT_EQ(service.stats().planning_cost, 425021u);
+}
+
 TEST(Service, RpcDropsLoseSubmissionsDeterministically)
 {
     auto run = [](std::uint64_t *dropped) {
