@@ -72,6 +72,11 @@ struct AdmissionOutcome
  * When @p cost is non-null it is incremented by one work unit per
  * slot-fill operation performed (across every level attempt), giving
  * callers a deterministic measure of planning effort.
+ *
+ * Levels that provably cannot meet the deadline are skipped without
+ * walking (fill_level_cannot_finish) and charge the slots - start_slot
+ * units their failing walk would have charged, so the plan, the
+ * verdict and the cost are those of the linear level scan.
  */
 std::optional<SlotPlan>
 progressive_fill(const PlanningJob &job,
@@ -90,6 +95,29 @@ progressive_fill(const ScalingCurve &curve, double remaining_iterations,
                  const std::vector<GpuCount> &available,
                  const PlanHorizon &horizon, const PlannerConfig &config,
                  int start_slot = 0, std::uint64_t *cost = nullptr);
+
+/**
+ * Level-skip certificate of progressive filling (DESIGN.md §10). A
+ * level's walk subtracts non-negative terms from the remaining
+ * iterations and succeeds iff its final remainder is within the fill
+ * tolerance (1e-7 iterations). Given an upper bound @p bound on the
+ * sum of those terms over a @p window -slot walk, returns true when the
+ * walk provably fails: the bound falls short of
+ * @p remaining_iterations by more than the tolerance plus a 1e-9
+ * relative margin, which exceeds the walk's accumulated rounding error
+ * on any window of at most 2^20 slots (longer windows are never
+ * certified).
+ */
+bool fill_level_cannot_finish(double bound, double remaining_iterations,
+                              int window);
+
+/**
+ * Seconds of fill capacity in slots [@p start_slot, horizon.slots):
+ * @p slot_seconds per slot, the last one weighted by
+ * horizon.last_weight. Requires start_slot < horizon.slots.
+ */
+double fill_window_seconds(Time slot_seconds, const PlanHorizon &horizon,
+                           int start_slot);
 
 /**
  * Algorithm 1: feasibility of a whole job set (admitted jobs plus a

@@ -119,21 +119,32 @@ struct EntryWorse
  * (same values, same order, same epsilon test), so the returned plan
  * and the success/failure verdict are bit-identical to what the
  * general fill would produce. Earliest direction, start slot 1 (the
- * allocator's tail re-fill shape).
+ * allocator's tail re-fill shape). Levels skip on progressive_fill's
+ * capacity certificate; @p skipped / @p walked count the levels.
  */
 std::optional<SlotPlan>
 unclipped_refill(const ScalingCurve &curve, double remaining_iterations,
-                 const PlanHorizon &horizon, Time dt)
+                 const PlanHorizon &horizon, Time dt,
+                 std::uint64_t *skipped, std::uint64_t *walked)
 {
     const int slots = horizon.slots;
     if (slots <= 1)
         return std::nullopt;  // start_slot 1 is already past the window
     const GpuCount max_useful = curve.max_useful();
+    const double window_seconds = fill_window_seconds(dt, horizon, 1);
+    double peak = 0.0;  // max throughput over the levels tried so far
     for (GpuCount level = curve.min_workers();
          level != 0 && level <= max_useful;
          level = (level < max_useful ? level * 2 : 0)) {
         const GpuCount x = curve.usable(level);
         const double tpt = curve.throughput(x);
+        peak = std::max(peak, tpt);
+        if (fill_level_cannot_finish(peak * window_seconds,
+                                     remaining_iterations, slots - 1)) {
+            ++*skipped;
+            continue;
+        }
+        ++*walked;
         double remaining = remaining_iterations;
         for (int t = 1; t < slots; ++t) {
             const double cap =
@@ -270,6 +281,9 @@ run_allocation(const PlannerConfig &config, Time now,
     // How often each certificate fired (core.allocation.* counters).
     std::uint64_t unclipped_refills = 0;
     std::uint64_t scan_skips = 0;
+    // Levels of unclipped re-fills skipped / walked (core.fill.*).
+    std::uint64_t levels_skipped = 0;
+    std::uint64_t levels_walked = 0;
 
     auto compute_slo = [&](std::size_t i) {
         CandidateSlot &st = slo_state[i];
@@ -342,7 +356,8 @@ run_allocation(const PlannerConfig &config, Time now,
             std::optional<SlotPlan> fill;
             if (unclipped) {
                 ++unclipped_refills;
-                fill = unclipped_refill(job.curve, rem_after0, d, dt);
+                fill = unclipped_refill(job.curve, rem_after0, d, dt,
+                                        &levels_skipped, &levels_walked);
             } else {
                 // Re-fill the tail with the bumped slot-0 allocation,
                 // against availability with this job's own reservation
@@ -554,6 +569,8 @@ run_allocation(const PlannerConfig &config, Time now,
     obs::count("core.allocation.runs");
     obs::count("core.allocation.unclipped_refills", unclipped_refills);
     obs::count("core.allocation.scan_skips", scan_skips);
+    obs::count("core.fill.levels_skipped", levels_skipped);
+    obs::count("core.fill.levels_walked", levels_walked);
     if (obs::tracing()) {
         obs::TraceEvent round{now, obs::EventKind::kAllocationRound,
                               kInvalidJob,

@@ -5,6 +5,7 @@
 #include <optional>
 
 #include "common/check.h"
+#include "fill_reference.h"
 
 namespace ef {
 namespace {
@@ -114,15 +115,13 @@ run_allocation_reference(const PlannerConfig &config, Time now,
         if (rem_after0 <= kIterEpsilon) {
             candidate_plan.gpus = {g0n};
         } else {
-            PlanningJob tail = job;
-            tail.remaining_iterations = rem_after0;
             // The refilled tail always packs earliest: boosting only
             // makes sense if it pulls the finish time forward, which a
             // latest-packed tail by construction never would.
             PlannerConfig refill_config = config;
             refill_config.direction = FillDirection::kEarliest;
-            auto fill = progressive_fill(tail, avail_self, d,
-                                         refill_config, 1);
+            auto fill = progressive_fill_reference(
+                job.curve, rem_after0, avail_self, d, refill_config, 1);
             if (!fill.has_value())
                 return cand;  // bump cannot keep the deadline
             candidate_plan = std::move(*fill);

@@ -5,7 +5,8 @@
  * equivalence fuzz (test_allocator_equivalence.cc) — run_allocation
  * must produce an identical outcome on any input. It is
  * O(iterations x jobs x horizon), where the incremental allocator
- * only recomputes candidates an applied winner can affect.
+ * only recomputes candidates an applied winner can affect. Its tail
+ * re-fills use progressive_fill_reference, the linear level scan.
  */
 #ifndef EF_TESTS_ALLOCATOR_REFERENCE_H_
 #define EF_TESTS_ALLOCATOR_REFERENCE_H_
