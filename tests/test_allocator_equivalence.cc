@@ -12,7 +12,9 @@
  * elastic_allocate wires them (soft deadlines, relaxed deadlines, and
  * parked jobs moved to the best-effort queue). A megacluster shape
  * checks, through the core.allocation.* counters, that both exact
- * certificates of the incremental allocator fire under the fuzz.
+ * certificates of the incremental allocator fire under the fuzz, and
+ * high-level shapes clip levels near max_useful inside the windows a
+ * winner changes, where a loosened whole-scan skip would go wrong.
  */
 #include <gtest/gtest.h>
 
@@ -195,6 +197,73 @@ check_refreshed(std::uint32_t seed, const Shape &shape,
             best_effort_jobs, label.str());
 }
 
+/**
+ * A job that needs a mid-to-high GPU level: a near-linear curve up to
+ * 64 GPUs (so max_useful is 64) and a deadline that one GPU would miss
+ * by 4x to 16x.
+ */
+PlanningJob
+high_level_job(std::mt19937 &rng, JobId id, Time now)
+{
+    std::uniform_real_distribution<double> base(0.5, 2.0);
+    std::uniform_real_distribution<double> gain(1.7, 2.0);
+    std::vector<double> table;
+    double tpt = base(rng);
+    for (int k = 0; k < 7; ++k) {
+        table.push_back(tpt);
+        tpt *= gain(rng);
+    }
+    PlanningJob job;
+    job.id = id;
+    job.curve = ScalingCurve::from_pow2_table(std::move(table));
+    std::uniform_real_distribution<double> iters(2000.0, 20000.0);
+    job.remaining_iterations = iters(rng);
+    std::uniform_real_distribution<double> squeeze(4.0, 16.0);
+    job.deadline = now + job.remaining_iterations /
+                             job.curve.throughput(1) / squeeze(rng);
+    return job;
+}
+
+/**
+ * Minimum shares from refresh_min_shares over high-level jobs on a
+ * cluster a few times their max_useful: winners leave tail slots with
+ * fewer than max_useful but more than a quarter of it free, which
+ * clips the high levels of the other jobs' re-fills.
+ */
+void
+check_high_levels(std::uint32_t seed, const Shape &shape)
+{
+    std::mt19937 rng(seed);
+    const Time now = 137.5;
+
+    PlannerConfig config;
+    config.total_gpus = shape.total_gpus;
+    config.slot_seconds = 60.0;
+    config.direction = shape.direction;
+
+    std::vector<PlanningJob> slo_jobs;
+    std::vector<PlanningJob> best_effort_jobs;
+    JobId next_id = 1;
+    for (int i = 0; i < shape.slo_jobs; ++i)
+        slo_jobs.push_back(high_level_job(rng, next_id++, now));
+    for (int j = 0; j < shape.best_effort_jobs; ++j)
+        best_effort_jobs.push_back(random_job(rng, next_id++, now, true));
+
+    MinShareRefresh refresh =
+        refresh_min_shares(config, now, std::move(slo_jobs),
+                           /*replan_failures=*/nullptr,
+                           /*park_infeasible_hard=*/true);
+    for (PlanningJob &job : refresh.parked)
+        best_effort_jobs.push_back(std::move(job));
+
+    std::ostringstream label;
+    label << "high-level seed=" << seed << " slo=" << shape.slo_jobs
+          << " be=" << shape.best_effort_jobs
+          << " gpus=" << shape.total_gpus;
+    compare(config, now, refresh.slo, refresh.min_shares,
+            best_effort_jobs, label.str());
+}
+
 int
 run_shapes(const std::vector<Shape> &shapes, std::uint32_t seed_base,
            int seeds_per_shape)
@@ -302,6 +371,25 @@ TEST(AllocatorEquivalence, MegaclusterFiresBothCertificates)
     EXPECT_GT(registry.counter("core.allocation.unclipped_refills").value(),
               0u);
     EXPECT_GT(registry.counter("core.allocation.scan_skips").value(), 0u);
+}
+
+TEST(AllocatorEquivalence, HighLevelsClippedInsideChangedWindows)
+{
+    // Closes a gap of the random shapes, which rarely need levels near
+    // max_useful: on these latest-packed shapes a whole-scan skip that
+    // fired whenever every changed slot kept max_useful / 4 GPUs free
+    // (instead of max_useful) leaves clipped candidates stale; it
+    // fails about a quarter of these instances.
+    const std::vector<Shape> shapes = {
+        {8, 0, 128, FillDirection::kLatest},
+        {12, 0, 192, FillDirection::kLatest},
+        {16, 0, 256, FillDirection::kLatest},
+        {12, 2, 192, FillDirection::kEarliest},
+    };
+    for (const Shape &shape : shapes) {
+        for (std::uint32_t seed = 70'000; seed < 70'040; ++seed)
+            check_high_levels(seed, shape);
+    }
 }
 
 }  // namespace
