@@ -4,19 +4,24 @@
 #   cmake -DBENCH_JSON=<BENCH_sched.json> -DEXPERIMENTS_MD=<EXPERIMENTS.md>
 #         -P bench/check_experiments_table.cmake
 #
-# Every benchmark in BENCH_JSON must have a table row
+# BENCH_JSON holds repetition aggregates; only the `median` rows are
+# read, under the benchmark's name without its `_median` suffix. Every
+# such benchmark must have a table row
 #
-#   | `<name>` | <real time> |
+#   | `<name>` | <median real time> |
 #
 # and every such row must name a benchmark in BENCH_JSON. The time is
-# the benchmark's real_time in the largest unit (ns, µs, ms, s) that
-# keeps it at or above 1, with one decimal below 10 and none above.
+# the median real_time in the largest unit (ns, µs, ms, s) that keeps
+# it at or above 1, with one decimal below 10 and none above.
 # With -DPRINT_TABLE=ON the script prints the table rows instead of
 # checking them, which is how the table is regenerated.
 if(NOT DEFINED BENCH_JSON)
     message(FATAL_ERROR "pass -DBENCH_JSON=<path to BENCH_sched.json>")
 endif()
 file(READ "${BENCH_JSON}" json)
+# google-benchmark writes the coefficient of variation of an all-zero
+# counter as NaN, which is not JSON; no median row depends on it.
+string(REPLACE ": NaN" ": null" json "${json}")
 
 # "<digits>[.<digits>]" in @p unit -> integer picoseconds in @p out.
 function(to_picoseconds value unit out)
@@ -69,12 +74,18 @@ function(format_time ps out)
     endif()
 endfunction()
 
-# Expected row text per benchmark, in recording order.
+# Expected row text per benchmark median, in recording order.
 set(expected_rows "")
 string(JSON count LENGTH "${json}" benchmarks)
 math(EXPR last "${count} - 1")
 foreach(i RANGE ${last})
+    string(JSON aggregate ERROR_VARIABLE no_aggregate
+           GET "${json}" benchmarks ${i} aggregate_name)
+    if(no_aggregate OR NOT aggregate STREQUAL "median")
+        continue()
+    endif()
     string(JSON name GET "${json}" benchmarks ${i} name)
+    string(REGEX REPLACE "_median$" "" name "${name}")
     string(JSON real GET "${json}" benchmarks ${i} real_time)
     string(JSON unit GET "${json}" benchmarks ${i} time_unit)
     to_picoseconds("${real}" "${unit}" ps)

@@ -17,12 +17,6 @@ DurableLog::journal_path(const std::string &dir)
     return dir + "/journal.bin";
 }
 
-bool
-DurableLog::recoverable(const std::string &dir)
-{
-    return file_exists(snapshot_path(dir));
-}
-
 Status
 DurableLog::load(const std::string &dir, std::string *snapshot,
                  JournalContents *contents)
@@ -81,7 +75,6 @@ DurableLog::write_snapshot(const std::string &payload)
     Status st = write_snapshot_file(snapshot_path(dir_), payload);
     if (!st.ok())
         return st;
-    last_snapshot_bytes_ = payload.size();
     // The snapshot subsumes everything journaled so far.
     return journal_.truncate_all();
 }

@@ -3,7 +3,8 @@
  * DurableLog: a journal directory holding one snapshot plus one
  * write-ahead journal, with snapshot-triggered truncation.
  *
- * Protocol (see DESIGN.md §12):
+ * Protocol (see DESIGN.md §12; recover::DurableRun drives it for both
+ * round drivers):
  *   - A fresh run calls open() (restarts the journal) and then
  *     write_snapshot() with the initial state, so recovery always has
  *     a base to load.
@@ -14,8 +15,9 @@
  *     the journal (the snapshot subsumes it).
  *   - Recovery calls load() (read-only: a crash during recovery leaves
  *     the directory untouched and recovery simply restarts), replays
- *     the journal tail, and only then calls open() + write_snapshot()
- *     to re-anchor the log at the recovered state.
+ *     the journal tail, and only then calls open_existing() to append
+ *     after the replayed records, followed by write_snapshot() to
+ *     re-anchor the log at the recovered state.
  */
 #ifndef EF_RECOVER_LOG_H_
 #define EF_RECOVER_LOG_H_
@@ -34,9 +36,6 @@ class DurableLog
     /** snapshot/journal file names inside a journal directory. */
     static std::string snapshot_path(const std::string &dir);
     static std::string journal_path(const std::string &dir);
-
-    /** True when `dir` holds a snapshot to recover from. */
-    static bool recoverable(const std::string &dir);
 
     /**
      * Read-only recovery load: verified snapshot payload plus every
@@ -74,18 +73,11 @@ class DurableLog
     /** fsync'd commit point. */
     Status commit();
 
-    bool is_open() const { return journal_.is_open(); }
-    const std::string &dir() const { return dir_; }
     std::uint64_t journal_records() const { return journal_.records(); }
-    std::uint64_t last_snapshot_bytes() const
-    {
-        return last_snapshot_bytes_;
-    }
 
   private:
     std::string dir_;
     JournalWriter journal_;
-    std::uint64_t last_snapshot_bytes_ = 0;
 };
 
 }  // namespace ef::recover

@@ -55,7 +55,8 @@ verdict_counter(ShedVerdict verdict)
 Service::Service(ServiceConfig config, FaultInjector *faults)
     : config_(config),
       faults_(faults),
-      governor_(config.governor)
+      governor_(config.governor),
+      durable_([this](recover::Encoder *enc) { encode_state(enc); })
 {
     EF_FATAL_IF(config_.total_gpus <= 0, "service needs total_gpus > 0");
     EF_FATAL_IF(config_.slot_seconds <= 0.0,
@@ -75,14 +76,14 @@ Service::submit(Submission submission)
                 "service submissions must arrive in time order (got "
                     << submission.spec.submit_time << " at clock "
                     << now_ << ")");
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         // The submission is durable before any of its effects: a crash
         // after this point replays it; a crash before it never saw it.
         recover::Encoder body;
         encode_job_spec(&body, submission.spec);
         encode_curve(&body, submission.curve);
-        journal_append(recover::RecordKind::kSubmission, body,
-                       /*sync=*/true);
+        durable_.append(recover::RecordKind::kSubmission, body,
+                        /*sync=*/true);
     }
     advance_internal(submission.spec.submit_time);
 
@@ -120,12 +121,11 @@ Service::submit(Submission submission)
 void
 Service::advance_to(Time t)
 {
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.f64(t);
         body.u8(0);  // external advance (1 = finish)
-        journal_append(recover::RecordKind::kAdvance, body,
-                       /*sync=*/false);
+        durable_.append(recover::RecordKind::kAdvance, body);
     }
     advance_internal(t);
     maybe_snapshot();
@@ -146,12 +146,11 @@ Service::advance_internal(Time t)
 void
 Service::finish()
 {
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.f64(now_);
         body.u8(1);
-        journal_append(recover::RecordKind::kAdvance, body,
-                       /*sync=*/false);
+        durable_.append(recover::RecordKind::kAdvance, body);
     }
     // At most two rounds: the first may be abandoned by the watchdog,
     // the escalated retry always commits and drains the queue.
@@ -184,7 +183,7 @@ Service::decide(const Submission &submission, Time at,
                 ShedVerdict verdict)
 {
     bool deliver = true;
-    if (replaying()) {
+    if (durable_.replaying()) {
         if (replay_verdict_next_ < replay_verdicts_.size()) {
             // This verdict reached the journal before the crash, so
             // the caller already observed it: verify the replay
@@ -205,15 +204,15 @@ Service::decide(const Submission &submission, Time at,
         }
         // Otherwise the crash hit between the submission record and
         // its verdict: the caller never saw one, deliver it now.
-    } else if (durable_ != nullptr) {
+    } else if (durable_.writing()) {
         // Verdict is durable before the caller can observe it, so a
         // post-crash replay knows not to re-issue it.
         recover::Encoder body;
         body.i64(submission.spec.id);
         body.u8(static_cast<std::uint8_t>(verdict));
         body.f64(at);
-        journal_append(recover::RecordKind::kVerdict, body,
-                       /*sync=*/true);
+        durable_.append(recover::RecordKind::kVerdict, body,
+                        /*sync=*/true);
     }
     ++stats_.submitted;
     switch (verdict) {
@@ -475,54 +474,21 @@ Service::run_round(Time t)
         obs::emit(event);
     }
     fold_round_hash(t, batch, !token);
-    if (replaying() && replay_round_next_ < replay_rounds_.size()) {
-        // Rounds beyond the journaled commits are new work (their
-        // commit record was lost to the torn tail); only journaled
-        // rounds are verified.
-        const auto &want = replay_rounds_[replay_round_next_];
-        EF_FATAL_IF(want.first != stats_.rounds ||
-                        want.second != hash_,
-                    "recovery divergence at service round "
-                        << stats_.rounds << ": journaled (round "
-                        << want.first << ", hash " << std::hex
-                        << want.second << ") vs replayed hash "
-                        << hash_ << std::dec);
-        ++replay_round_next_;
-        obs::count("recover.replay_rounds");
-    } else if (durable_ != nullptr) {
-        recover::Encoder body;
-        body.u64(stats_.rounds);
-        body.f64(t);
-        body.u64(hash_);
-        journal_append(recover::RecordKind::kRoundCommit, body,
-                       /*sync=*/true);
-        // The cadence snapshot is deferred to the end of the public
-        // entry point: a round committed mid-submit() would otherwise
-        // truncate away the in-flight submission's journal record
-        // before its effects reach the snapshotted state.
-        if (stats_.rounds - snapshot_round_ >= snapshot_every_)
-            snapshot_pending_ = true;
-    }
+    // While recovering this verifies the round against the journal.
+    // The cadence snapshot it may schedule is deferred to the end of
+    // the public entry point: a round committed mid-submit() would
+    // otherwise truncate away the in-flight submission's journal
+    // record before its effects reach the snapshotted state.
+    durable_.commit(stats_.rounds, t, hash_);
     arm();
 }
 
 void
 Service::maybe_snapshot()
 {
-    if (durable_ == nullptr || !snapshot_pending_)
-        return;
-    snapshot_pending_ = false;
-    recover::Encoder enc;
-    encode_state(&enc);
-    recover::Status st = durable_->write_snapshot(enc.data());
+    const recover::Status st = durable_.snapshot_if_due();
     EF_FATAL_IF(!st.ok(), "durability: service snapshot failed: "
                               << st.to_string());
-    snapshot_round_ = stats_.rounds;
-    obs::count("recover.snapshots");
-    obs::count("recover.snapshot_bytes",
-               static_cast<std::uint64_t>(enc.size()));
-    obs::gauge_set("recover.snapshot_bytes_last",
-                   static_cast<double>(enc.size()));
 }
 
 void
@@ -561,23 +527,6 @@ Service::fold_round_hash(Time t, std::size_t batch, bool forced)
     if (faults_ != nullptr)
         h.u64(faults_->state_fingerprint());
     hash_ = h.digest();
-}
-
-void
-Service::journal_append(recover::RecordKind kind,
-                        const recover::Encoder &enc, bool sync)
-{
-    recover::Status st = durable_->append(kind, enc.data());
-    EF_FATAL_IF(!st.ok(), "durability: service journal append "
-                          "failed: "
-                              << st.to_string());
-    if (sync) {
-        st = durable_->commit();
-        EF_FATAL_IF(!st.ok(), "durability: service journal commit "
-                              "failed: "
-                                  << st.to_string());
-    }
-    obs::count("recover.journal_records");
 }
 
 std::uint64_t
@@ -779,12 +728,33 @@ Service::decode_state(recover::Decoder *dec)
 recover::Status
 Service::replay_tail(const recover::JournalContents &tail)
 {
-    replay_active_ = true;
+    // Journaled verdicts were already delivered: collect them first,
+    // so decide() verifies and suppresses each one the replay
+    // reproduces (exactly-once).
+    replay_verdicts_.clear();
+    replay_verdict_next_ = 0;
+    for (std::size_t i = 0; i < tail.records.size(); ++i) {
+        if (tail.records[i].kind != recover::RecordKind::kVerdict)
+            continue;
+        recover::Decoder scan(tail.records[i].body);
+        std::int64_t id = 0;
+        std::uint8_t verdict = 0;
+        double at = 0.0;
+        scan.i64(&id);
+        scan.u8(&verdict);
+        scan.f64(&at);
+        if (!scan.ok() || !scan.empty()) {
+            return recover::Status::error(
+                recover::ErrorCode::kBadRecord,
+                "malformed service verdict record",
+                static_cast<std::int64_t>(i));
+        }
+        replay_verdicts_.push_back(ReplayVerdict{id, verdict});
+    }
     for (std::size_t i = 0; i < tail.records.size(); ++i) {
         const recover::JournalRecord &rec = tail.records[i];
         recover::Decoder dec(rec.body);
         const auto bad = [&](const char *what) {
-            replay_active_ = false;
             return recover::Status::error(
                 recover::ErrorCode::kBadRecord, what,
                 static_cast<std::int64_t>(i));
@@ -813,13 +783,12 @@ Service::replay_tail(const recover::JournalContents &tail)
           }
           case recover::RecordKind::kVerdict:
           case recover::RecordKind::kRoundCommit:
-            break;  // pre-scanned into the replay cursors
+            break;  // verified as the replay reproduces them
           default:
             return bad("unknown service journal record kind");
         }
     }
-    replay_active_ = false;
-    if (replay_round_next_ < replay_rounds_.size() ||
+    if (durable_.unverified_commits() > 0 ||
         replay_verdict_next_ < replay_verdicts_.size()) {
         return recover::Status::error(
             recover::ErrorCode::kStateMismatch,
@@ -832,117 +801,31 @@ recover::Status
 Service::bind_durability(const std::string &dir,
                          std::uint64_t snapshot_every, bool recover)
 {
-    EF_CHECK_MSG(durable_ == nullptr,
-                 "service durability is already bound");
     EF_FATAL_IF(dir.empty(), "service durability needs a directory");
     EF_FATAL_IF(snapshot_every < 1,
                 "service durability needs snapshot_every >= 1");
-    snapshot_every_ = snapshot_every;
-    std::uint64_t journal_valid_bytes = 0;
+    recover::Status st;
     if (recover) {
-        std::string snapshot;
+        // The last snapshot, then the journal tail re-fed through the
+        // normal code paths; the journal reopens for append afterwards.
         recover::JournalContents tail;
-        recover::Status st =
-            recover::DurableLog::load(dir, &snapshot, &tail);
-        if (!st.ok())
-            return st;
-        journal_valid_bytes = tail.valid_bytes;
-        if (!tail.tail.ok()) {
-            EF_INFO("service recovery: discarding torn journal tail ("
-                    << tail.tail.to_string() << ")");
-        }
-        recover::Decoder dec(snapshot);
-        st = decode_state(&dec);
-        if (!st.ok())
-            return st;
-        // Pre-scan the tail: verdicts and round commits become the
-        // verification cursors the replayed inputs must reproduce.
-        replay_verdicts_.clear();
-        replay_rounds_.clear();
-        replay_verdict_next_ = 0;
-        replay_round_next_ = 0;
-        for (std::size_t i = 0; i < tail.records.size(); ++i) {
-            const recover::JournalRecord &rec = tail.records[i];
-            recover::Decoder scan(rec.body);
-            if (rec.kind == recover::RecordKind::kVerdict) {
-                ReplayVerdict v;
-                std::int64_t id = 0;
-                double at = 0.0;
-                scan.i64(&id);
-                scan.u8(&v.verdict);
-                scan.f64(&at);
-                if (!scan.ok() || !scan.empty()) {
-                    return recover::Status::error(
-                        recover::ErrorCode::kBadRecord,
-                        "malformed service verdict record",
-                        static_cast<std::int64_t>(i));
-                }
-                v.id = id;
-                replay_verdicts_.push_back(v);
-            } else if (rec.kind == recover::RecordKind::kRoundCommit) {
-                std::uint64_t round = 0;
-                double at = 0.0;
-                std::uint64_t hash = 0;
-                scan.u64(&round);
-                scan.f64(&at);
-                scan.u64(&hash);
-                if (!scan.ok() || !scan.empty() ||
-                    round != stats_.rounds + replay_rounds_.size() + 1) {
-                    return recover::Status::error(
-                        recover::ErrorCode::kBadRecord,
-                        "malformed or non-contiguous service "
-                        "round-commit record",
-                        static_cast<std::int64_t>(i));
-                }
-                replay_rounds_.emplace_back(round, hash);
-            }
-        }
-        if (obs::tracing()) {
-            obs::TraceEvent event;
-            event.time = now_;
-            event.kind = obs::EventKind::kRecoveryBegin;
-            event.a = static_cast<std::int64_t>(tail.records.size());
-            event.b = static_cast<std::int64_t>(replay_rounds_.size());
-            obs::emit(event);
-        }
-        st = replay_tail(tail);
-        if (!st.ok())
-            return st;
-        if (obs::tracing()) {
-            obs::TraceEvent event;
-            event.time = now_;
-            event.kind = obs::EventKind::kRecoveryEnd;
-            event.a = static_cast<std::int64_t>(replay_round_next_);
-            obs::emit(event);
-        }
+        st = durable_.recover(
+            dir, snapshot_every,
+            [this](recover::Decoder *dec, recover::DurableRun::Resume *at) {
+                const recover::Status decoded = decode_state(dec);
+                at->round = stats_.rounds;
+                at->clock = now_;
+                return decoded;
+            },
+            &tail);
+        if (st.ok())
+            st = replay_tail(tail);
+        if (st.ok())
+            st = durable_.end_replay(now_);
+    } else {
+        st = durable_.open(dir, snapshot_every);
     }
-    durable_ = std::make_unique<recover::DurableLog>();
-    // On recovery, reopen the journal for *append* at its last valid
-    // byte: the old snapshot + full journal stays a complete recovery
-    // image until the fresh snapshot below atomically subsumes it. A
-    // plain (truncating) open would leave a crash window in which the
-    // replayed tail was lost.
-    recover::Status st =
-        recover ? durable_->open_existing(dir, journal_valid_bytes)
-                : durable_->open(dir);
-    if (!st.ok()) {
-        durable_.reset();
-        return st;
-    }
-    recover::Encoder enc;
-    encode_state(&enc);
-    st = durable_->write_snapshot(enc.data());
-    if (!st.ok()) {
-        durable_.reset();
-        return st;
-    }
-    snapshot_round_ = stats_.rounds;
-    obs::count("recover.snapshots");
-    obs::count("recover.snapshot_bytes",
-               static_cast<std::uint64_t>(enc.size()));
-    obs::gauge_set("recover.snapshot_bytes_last",
-                   static_cast<double>(enc.size()));
-    return recover::Status{};
+    return st.ok() ? durable_.snapshot_if_due() : st;
 }
 
 }  // namespace serve

@@ -48,12 +48,11 @@
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <vector>
 
 #include "core/admission.h"
 #include "core/scaling_curve.h"
-#include "recover/log.h"
+#include "recover/durable_run.h"
 #include "serve/governor.h"
 #include "serve/verdict.h"
 #include "workload/job.h"
@@ -229,16 +228,8 @@ class Service
     std::uint64_t config_fingerprint() const;
     /** Re-feed the journal tail through submit/advance/finish. */
     recover::Status replay_tail(const recover::JournalContents &tail);
-    void journal_append(recover::RecordKind kind,
-                        const recover::Encoder &enc, bool sync);
     /** Write a due cadence snapshot (end of each public entry). */
     void maybe_snapshot();
-    bool replaying() const
-    {
-        return replay_round_next_ < replay_rounds_.size() ||
-               replay_verdict_next_ < replay_verdicts_.size() ||
-               replay_active_;
-    }
     /** Fluid progress + completion retirement over [last_round_, t]. */
     void retire(Time t);
     /** Recompute when the next round is due (infinity when idle). */
@@ -278,15 +269,8 @@ class Service
     std::function<void(const Decision &)> on_decision_;
 
     // --- durability (DESIGN.md §12) ------------------------------------
-    // ef-audit: transient(all: the log handle IS the persistence mechanism, not state inside it)
-    std::unique_ptr<recover::DurableLog> durable_;
-    // ef-audit: transient(all: bind_durability() parameter, re-supplied on recovery)
-    std::uint64_t snapshot_every_ = 16;
-    // ef-audit: transient(all: snapshot cadence memo; a recovered service restarts its cadence at the recovery point)
-    std::uint64_t snapshot_round_ = 0;
-    /** A cadence snapshot is due at the next entry-point boundary. */
-    // ef-audit: transient(all: drains at the next entry-point boundary, never live at a commit point)
-    bool snapshot_pending_ = false;
+    // ef-audit: transient(all: the log binding IS the persistence mechanism, not state inside it)
+    recover::DurableRun durable_;
     /** Journaled verdicts not yet matched by the replay. */
     struct ReplayVerdict
     {
@@ -297,14 +281,6 @@ class Service
     std::vector<ReplayVerdict> replay_verdicts_;
     // ef-audit: transient(all: recovery-session cursor into replay_verdicts_)
     std::size_t replay_verdict_next_ = 0;
-    /** Journaled round commits (round index, hash) to verify. */
-    // ef-audit: transient(all: recovery-session scratch, loaded FROM the journal)
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> replay_rounds_;
-    // ef-audit: transient(all: recovery-session cursor into replay_rounds_)
-    std::size_t replay_round_next_ = 0;
-    /** True while replay_tail() re-feeds journaled inputs. */
-    // ef-audit: transient(all: recovery-session flag, true only inside replay_tail())
-    bool replay_active_ = false;
 };
 
 }  // namespace serve

@@ -33,8 +33,6 @@ const std::vector<double> kEfficiencyEdges = {0.1, 0.25, 0.5, 0.75,
 const std::vector<double> kDecisionLatencyEdges = {
     0.001, 0.01, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0,
     20.0,  30.0, 60.0, 120.0, 300.0};
-const std::vector<double> kReplayEdges = {0,  1,  2,   4,   8,   16,
-                                          32, 64, 128, 256, 512, 1024};
 
 /** ids payload of an alloc-change event, from concrete GPU ids. */
 std::vector<std::int64_t>
@@ -127,7 +125,8 @@ Simulator::Simulator(const Trace &trace, Scheduler *scheduler,
       perf_(&topology_),
       placement_(&topology_),
       overhead_(config.overhead),
-      events_(event_after)
+      events_(event_after),
+      durable_([this](recover::Encoder *enc) { encode_state(enc); })
 {
     EF_CHECK(scheduler_ != nullptr);
     scheduler_->bind(this);
@@ -737,12 +736,12 @@ Simulator::handle_server_down(const Event &event)
     placement_.set_server_available(server, false);
     view_dirty_ = true;  // capacity shrank; victims lost their GPUs
     ++fault_epoch_;
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.f64(now_);
         body.u8(static_cast<std::uint8_t>(FaultType::kServerCrash));
         body.i64(server);
-        journal_append(recover::RecordKind::kFault, body);
+        durable_.append(recover::RecordKind::kFault, body);
     }
     obs::emit({now_, obs::EventKind::kServerDown, kInvalidJob, server,
                static_cast<std::int64_t>(victims.size())});
@@ -778,12 +777,12 @@ Simulator::handle_gpu_down(const Event &event)
     ++result_.gpu_faults;
     ++fault_epoch_;
     view_dirty_ = true;
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.f64(now_);
         body.u8(static_cast<std::uint8_t>(FaultType::kGpuFault));
         body.i64(gpu);
-        journal_append(recover::RecordKind::kFault, body);
+        durable_.append(recover::RecordKind::kFault, body);
     }
     obs::emit({now_, obs::EventKind::kGpuDown, kInvalidJob, gpu,
                victim != kInvalidJob ? 1 : 0});
@@ -956,7 +955,7 @@ Simulator::audit_state(bool terminal)
     h.u64(state_hash());
     result_.state_hash = h.digest();
     ++result_.state_hash_samples;
-    if (durable_ != nullptr || replaying())
+    if (durable_.bound())
         commit_round(terminal);
 }
 
@@ -1368,137 +1367,23 @@ Simulator::decode_state(recover::Decoder *dec)
     return Status{};
 }
 
-recover::Status
-Simulator::recover_state(const std::string &snapshot,
-                         const recover::JournalContents &tail)
-{
-    using recover::ErrorCode;
-    using recover::RecordKind;
-    using recover::Status;
-
-    recover::Decoder dec(snapshot);
-    Status st = decode_state(&dec);
-    if (!st.ok())
-        return st;
-
-    // Collect the round commits the re-execution must reproduce. Delta
-    // records (submissions, verdicts, plan commits, faults) are the
-    // audit trail; re-execution regenerates their effects from the
-    // snapshot, so only the commit hashes are needed for verification.
-    replay_.clear();
-    replay_journal_records_ = tail.records.size();
-    recovered_journal_bytes_ = tail.valid_bytes;
-    for (std::size_t i = 0; i < tail.records.size(); ++i) {
-        const recover::JournalRecord &rec = tail.records[i];
-        if (rec.kind != RecordKind::kRoundCommit)
-            continue;
-        recover::Decoder body(rec.body);
-        ReplayCommit rc;
-        body.u64(&rc.round);
-        body.f64(&rc.time);
-        body.u64(&rc.hash);
-        body.u64(&rc.crash_cursor);
-        body.boolean(&rc.terminal);
-        if (!body.ok() || !body.empty()) {
-            return Status::error(ErrorCode::kBadRecord,
-                                 "malformed round-commit record",
-                                 static_cast<std::int64_t>(i));
-        }
-        const std::uint64_t expected =
-            result_.state_hash_samples + replay_.size() + 1;
-        if (rc.round != expected) {
-            return Status::error(
-                ErrorCode::kBadRecord,
-                "round-commit sequence is not contiguous with the "
-                "snapshot",
-                static_cast<std::int64_t>(i));
-        }
-        replay_.push_back(rc);
-    }
-    replay_next_ = 0;
-    if (!replay_.empty()) {
-        // The last durable commit is authoritative for the scripted
-        // crash cursor: it was written *after* that round's crash
-        // check, so the crash that interrupted the run (if scripted)
-        // is already consumed and cannot re-fire.
-        sched_crash_cursor_ = replay_.back().crash_cursor;
-    }
-    recovered_ = true;
-    obs::emit({now_, obs::EventKind::kRecoveryBegin, kInvalidJob,
-               static_cast<std::int64_t>(replay_journal_records_),
-               static_cast<std::int64_t>(replay_.size())});
-    obs::count("recover.journal_records", replay_journal_records_);
-    if (replay_.empty())
-        finish_recovery();  // nothing to re-execute; resume directly
-    return Status{};
-}
-
 void
 Simulator::finish_recovery()
 {
-    // Re-anchor the log at the recovered state. The journal is
-    // reopened for *append* (keeping the replayed records) and the
-    // fresh snapshot deferred to the next event-loop boundary: the
-    // replay exhausts inside commit_round, mid-flush_replan, where a
-    // snapshot would capture a state the uninterrupted run never
-    // holds at a boundary (same argument as the cadence deferral).
-    // Until that snapshot lands, old snapshot + full journal is still
-    // a complete recovery image, so a crash here loses nothing.
-    durable_ = std::make_unique<recover::DurableLog>();
-    recover::Status st =
-        durable_->open_existing(config_.durability.journal_dir,
-                                recovered_journal_bytes_);
-    EF_FATAL_IF(!st.ok(),
-                "durability: reopening the journal failed: "
-                    << st.to_string());
-    snapshot_pending_ = true;
-    obs::emit({now_, obs::EventKind::kRecoveryEnd, kInvalidJob,
-               static_cast<std::int64_t>(replay_next_)});
-    // Deterministic replay cost: journal records re-applied. (A
-    // wall-clock replay_ms would break byte-identical obs dumps.)
-    obs::observe("recover.replay_cost_units", kReplayEdges,
-                 static_cast<double>(replay_journal_records_));
-}
-
-void
-Simulator::journal_append(recover::RecordKind kind,
-                          const recover::Encoder &body)
-{
-    if (durable_ == nullptr || replaying())
-        return;
-    recover::Status st = durable_->append(kind, body.data());
-    EF_FATAL_IF(!st.ok(),
-                "durability: journal append failed: " << st.to_string());
+    const recover::Status st = durable_.end_replay(now_);
+    EF_FATAL_IF(!st.ok(), "durability: reopening the journal failed: "
+                              << st.to_string());
 }
 
 void
 Simulator::commit_round(bool terminal)
 {
     const std::uint64_t round = result_.state_hash_samples;
-    if (replaying()) {
-        // Re-executing a journaled round: verify instead of write.
-        const ReplayCommit &expect = replay_[replay_next_];
-        EF_FATAL_IF(
-            expect.round != round || expect.hash != result_.state_hash,
-            "recovery divergence at round "
-                << round << ": journal has hash "
-                << expect.hash << " for round " << expect.round
-                << ", re-execution produced " << result_.state_hash);
-        sched_crash_cursor_ = expect.crash_cursor;
-        ++replay_next_;
-        obs::count("recover.replay_rounds");
-        if (!replaying())
-            finish_recovery();
-        return;
-    }
-    if (durable_ == nullptr)
-        return;
-
     // Crash decision BEFORE the commit record: the persisted cursor
     // must already exclude a crash that fires at this round, or
     // recovery would re-fire it forever.
     bool will_crash = false;
-    if (fault_ != nullptr) {
+    if (durable_.writing() && fault_ != nullptr) {
         const std::vector<FaultEvent> &script =
             fault_->sched_crash_events();
         if (sched_crash_cursor_ < script.size()) {
@@ -1515,25 +1400,23 @@ Simulator::commit_round(bool terminal)
             will_crash = true;
     }
 
-    recover::Encoder body;
-    body.u64(round);
-    body.f64(now_);
-    body.u64(result_.state_hash);
-    body.u64(sched_crash_cursor_);
-    body.boolean(terminal);
-    journal_append(recover::RecordKind::kRoundCommit, body);
-    recover::Status st = durable_->commit();
-    EF_FATAL_IF(!st.ok(),
-                "durability: round commit failed: " << st.to_string());
-    obs::count("recover.journal_records");
-
-    if (!terminal && !will_crash &&
-        round - snapshot_round_ >= config_.durability.snapshot_every) {
-        // Deferred to the event-loop boundary: the commit fires from
-        // inside flush_replan, before arm_tick() re-arms the tick, so
-        // snapshotting here would capture a state the uninterrupted
-        // run never passes through.
-        snapshot_pending_ = true;
+    recover::Encoder tail;
+    tail.u64(sched_crash_cursor_);
+    tail.boolean(terminal);
+    // A cadence snapshot is drained at the top of the event loop: this
+    // commit fires from inside flush_replan, before arm_tick() re-arms
+    // the tick, a state the uninterrupted run never passes through.
+    const recover::DurableRun::Commit *replayed =
+        durable_.commit(round, now_, result_.state_hash, tail,
+                        /*cadence=*/!terminal && !will_crash);
+    if (replayed != nullptr) {
+        // Re-executed a journaled round: its commit carries the crash
+        // cursor as of that round.
+        recover::Decoder journaled(replayed->tail);
+        journaled.u64(&sched_crash_cursor_);
+        if (durable_.unverified_commits() == 0)
+            finish_recovery();
+        return;
     }
     if (will_crash) {
         crashed_ = true;
@@ -1543,58 +1426,37 @@ Simulator::commit_round(bool terminal)
 }
 
 recover::Status
-Simulator::write_snapshot_now()
-{
-    EF_CHECK_MSG(durable_ != nullptr && durable_->is_open(),
-                 "durability is not prepared");
-    recover::Encoder enc;
-    encode_state(&enc);
-    recover::Status st = durable_->write_snapshot(enc.data());
-    if (!st.ok())
-        return st;
-    snapshot_round_ = result_.state_hash_samples;
-    obs::count("recover.snapshots");
-    obs::count("recover.snapshot_bytes", enc.size());
-    obs::gauge_set("recover.snapshot_bytes_last",
-                   static_cast<double>(enc.size()));
-    return st;
-}
-
-recover::Status
 Simulator::prepare_durability()
 {
-    using recover::Status;
-    if (durability_ready_)
-        return Status{};
+    if (durable_.bound())
+        return recover::Status{};
     const DurabilityConfig &cfg = config_.durability;
     EF_CHECK_MSG(!cfg.journal_dir.empty(),
                  "prepare_durability needs a journal_dir");
     EF_FATAL_IF(cfg.snapshot_every < 1,
                 "durability.snapshot_every must be >= 1");
-    if (cfg.recover) {
-        std::string snapshot;
-        recover::JournalContents contents;
-        Status st = recover::DurableLog::load(cfg.journal_dir,
-                                              &snapshot, &contents);
-        if (!st.ok())
-            return st;
-        if (contents.tail.code != recover::ErrorCode::kOk) {
-            EF_INFO("journal tail discarded during recovery: "
-                    << contents.tail.to_string());
-        }
-        st = recover_state(snapshot, contents);
-        if (!st.ok())
-            return st;
-    } else {
-        durable_ = std::make_unique<recover::DurableLog>();
-        Status st = durable_->open(cfg.journal_dir);
-        if (!st.ok()) {
-            durable_.reset();
-            return st;
-        }
-    }
-    durability_ready_ = true;
-    return Status{};
+    if (!cfg.recover)
+        return durable_.open(cfg.journal_dir, cfg.snapshot_every);
+    // Re-execution regenerates every delta record's effect from the
+    // snapshot, so only the round commits are verified.
+    recover::Status st = durable_.recover(
+        cfg.journal_dir, cfg.snapshot_every,
+        [this](recover::Decoder *dec, recover::DurableRun::Resume *at) {
+            const recover::Status decoded = decode_state(dec);
+            at->round = result_.state_hash_samples;
+            at->clock = now_;
+            return decoded;
+        },
+        /*contents=*/nullptr,
+        [](recover::Decoder *tail) {
+            std::uint64_t crash_cursor = 0;
+            bool terminal = false;
+            tail->u64(&crash_cursor);
+            tail->boolean(&terminal);
+        });
+    if (st.ok() && durable_.unverified_commits() == 0)
+        finish_recovery();  // nothing to re-execute; resume directly
+    return st;
 }
 
 void
@@ -1644,7 +1506,7 @@ Simulator::flush_replan()
     SchedulerDecision decision = scheduler_->allocate();
     view_dirty_ = false;
     last_decision_time_ = now_;
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.f64(now_);
         body.u64(decision.gpus.size());
@@ -1652,7 +1514,7 @@ Simulator::flush_replan()
             body.i64(id);
             body.i64(g);
         }
-        journal_append(recover::RecordKind::kPlanCommit, body);
+        durable_.append(recover::RecordKind::kPlanCommit, body);
     }
     apply_decision(decision);
     const std::size_t resizes =
@@ -1745,7 +1607,7 @@ Simulator::maybe_defrag()
     if (!plan.moves.empty()) {
         // Audit trail: the accepted batch, journaled before it takes
         // effect (replay regenerates it by re-running the SA round).
-        if (durable_ != nullptr) {
+        if (durable_.writing()) {
             recover::Encoder body;
             body.f64(now_);
             body.u64(plan.moves.size());
@@ -1755,7 +1617,7 @@ Simulator::maybe_defrag()
                 for (GpuCount g : m.to)
                     body.i64(g);
             }
-            journal_append(recover::RecordKind::kDefrag, body);
+            durable_.append(recover::RecordKind::kDefrag, body);
         }
         placement_.apply_moves(plan.moves);
         for (const Migration &m : plan.moves) {
@@ -1824,12 +1686,12 @@ Simulator::record_fragmentation()
 void
 Simulator::apply_admission(JobId id, bool admitted)
 {
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.i64(id);
         body.f64(now_);
         body.boolean(admitted);
-        journal_append(recover::RecordKind::kVerdict, body);
+        durable_.append(recover::RecordKind::kVerdict, body);
     }
     JobRt &job = rt(id);
     job.arrived = true;
@@ -1860,11 +1722,11 @@ Simulator::apply_admission(JobId id, bool admitted)
 void
 Simulator::handle_arrival(JobId id)
 {
-    if (durable_ != nullptr) {
+    if (durable_.writing()) {
         recover::Encoder body;
         body.i64(id);
         body.f64(now_);
-        journal_append(recover::RecordKind::kSubmission, body);
+        durable_.append(recover::RecordKind::kSubmission, body);
     }
     if (config_.service.enabled) {
         handle_service_arrival(id);
@@ -2028,12 +1890,15 @@ Simulator::work_pending() const
 RunResult
 Simulator::run()
 {
-    if (!config_.durability.journal_dir.empty() &&
-        !durability_ready_) {
+    const bool durable = !config_.durability.journal_dir.empty();
+    if (durable) {
         recover::Status st = prepare_durability();
         EF_FATAL_IF(!st.ok(), "durability: " << st.to_string());
     }
-    if (!recovered_) {
+    // A recovered run takes its event queue and fault streams from the
+    // snapshot; a fresh one seeds them here, and its base snapshot is
+    // drained at the top of the event loop below.
+    if (!durable || !config_.durability.recover) {
         if (fault_ != nullptr) {
             if (fault_->server_crashes_enabled()) {
                 for (int server = 0;
@@ -2043,14 +1908,6 @@ Simulator::run()
             }
             schedule_next_gpu_fault();
             queue_scripted_faults();
-        }
-        if (durable_ != nullptr) {
-            // Base snapshot of the seeded initial state: recovery
-            // always has something to load, even before round 1.
-            recover::Status st = write_snapshot_now();
-            EF_FATAL_IF(!st.ok(), "durability: initial snapshot "
-                                  "failed: "
-                                      << st.to_string());
         }
     }
 
@@ -2064,16 +1921,12 @@ Simulator::run()
             if (crashed_)
                 break;  // injected scheduler crash at a round commit
         }
-        if (snapshot_pending_) {
-            // Cadence snapshot, taken at a clean inter-event boundary
-            // so the captured state matches what the uninterrupted
-            // run holds at this point.
-            snapshot_pending_ = false;
-            recover::Status st = write_snapshot_now();
-            EF_FATAL_IF(!st.ok(),
-                        "durability: cadence snapshot failed: "
-                            << st.to_string());
-        }
+        // Base, cadence or post-recovery snapshot, taken at a clean
+        // inter-event boundary so the captured state matches what the
+        // uninterrupted run holds at this point.
+        const recover::Status st = durable_.snapshot_if_due();
+        EF_FATAL_IF(!st.ok(),
+                    "durability: snapshot failed: " << st.to_string());
         if (events_.empty())
             break;
         Event event = events_.top();
@@ -2144,18 +1997,17 @@ Simulator::run()
     // the recovered run takes the terminal sample itself.
     if (!crashed_)
         audit_state(/*terminal=*/true);
-    if (snapshot_pending_ && !crashed_ && durable_ != nullptr) {
+    if (!crashed_) {
         // Replay exhausted at the terminal round: the end of the run
         // is itself a clean boundary, so the deferred post-recovery
         // snapshot lands here.
-        snapshot_pending_ = false;
-        recover::Status st = write_snapshot_now();
+        recover::Status st = durable_.snapshot_if_due();
         EF_FATAL_IF(!st.ok(), "durability: terminal snapshot failed: "
                                   << st.to_string());
     }
-    EF_FATAL_IF(!crashed_ && replaying(),
+    EF_FATAL_IF(!crashed_ && durable_.replaying(),
                 "recovery divergence: journal holds "
-                    << replay_.size() - replay_next_
+                    << durable_.unverified_commits()
                     << " round commits the re-execution never "
                        "reached");
     return result_;

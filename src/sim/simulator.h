@@ -28,7 +28,7 @@
 #include "common/rng.h"
 #include "defrag/defrag.h"
 #include "fault/fault.h"
-#include "recover/log.h"
+#include "recover/durable_run.h"
 #include "sched/scheduler.h"
 #include "serve/governor.h"
 #include "sim/metrics.h"
@@ -191,12 +191,6 @@ class Simulator : public ClusterView
     bool crashed() const { return crashed_; }
 
     /**
-     * Write a snapshot of the current state immediately (the cadence
-     * snapshot machinery, callable by benchmarks and tests).
-     */
-    recover::Status write_snapshot_now();
-
-    /**
      * Determinism auditor: FNV-1a hash of all determinism-relevant
      * state — event clock; every live job (state, progress, attained
      * service, pause windows) in submit order; a commutative sum of
@@ -298,31 +292,16 @@ class Simulator : public ClusterView
     void arm_tick();
 
     // --- durability (DESIGN.md §12) -------------------------------------
-    /** One expected round commit parsed from the journal tail. */
-    struct ReplayCommit
-    {
-        std::uint64_t round = 0;
-        Time time = 0.0;
-        std::uint64_t hash = 0;
-        std::uint64_t crash_cursor = 0;
-        bool terminal = false;
-    };
     /** Digest of the (trace, scheduler, config) shape a snapshot is
      *  only valid against. */
     std::uint64_t config_fingerprint() const;
     void encode_state(recover::Encoder *enc) const;
     recover::Status decode_state(recover::Decoder *dec);
-    recover::Status recover_state(const std::string &snapshot,
-                                  const recover::JournalContents &tail);
-    /** Round boundary: crash check, commit record, fsync, snapshot
-     *  cadence — or, while replaying, hash verification instead. */
+    /** Round boundary: crash check, then the commit record — or, while
+     *  replaying, hash verification instead. */
     void commit_round(bool terminal);
     /** Replay verified: re-anchor the log at the recovered state. */
     void finish_recovery();
-    void journal_append(recover::RecordKind kind,
-                        const recover::Encoder &body);
-    /** Re-executing journaled rounds (journaling suppressed). */
-    bool replaying() const { return replay_next_ < replay_.size(); }
 
     /** Slot of @p id in jobs_, or jobs_.size() when unknown. */
     std::size_t index_of(JobId id) const;
@@ -390,39 +369,13 @@ class Simulator : public ClusterView
     /** Capacity-affecting fault events so far (ClusterView). */
     std::uint64_t fault_epoch_ = 0;
 
-    /** Null unless durability is configured; write side only (null
-     *  while replaying a journal tail — recovery loads read-only). */
-    // ef-audit: transient(all: the log handle IS the persistence mechanism, not state inside it)
-    std::unique_ptr<recover::DurableLog> durable_;
-    // ef-audit: transient(all: write-side plumbing flag, rebuilt by bind_durability())
-    bool durability_ready_ = false;
-    /** State was restored from a snapshot (skip run() seeding). */
-    // ef-audit: transient(all: recovery-session flag, true only on the recovering side)
-    bool recovered_ = false;
-    /** Round commits awaiting re-execution verification. */
-    // ef-audit: transient(all: recovery-session scratch, loaded FROM the journal)
-    std::vector<ReplayCommit> replay_;
-    // ef-audit: transient(all: recovery-session cursor into replay_)
-    std::size_t replay_next_ = 0;
-    /** Journal records read at recovery (for obs accounting). */
-    // ef-audit: transient(all: recovery-session accounting, reported then dropped)
-    std::uint64_t replay_journal_records_ = 0;
-    /** Valid journal bytes at recovery: where post-replay appends
-     *  resume, so the pre-crash tail stays recoverable until the next
-     *  snapshot subsumes it. */
-    // ef-audit: transient(all: recovery-session offset, derived from the journal scan itself)
-    std::uint64_t recovered_journal_bytes_ = 0;
+    // ef-audit: transient(all: the log binding IS the persistence mechanism, not state inside it)
+    recover::DurableRun durable_;
     /** Scripted kSchedCrash events consumed so far. Persisted in every
      *  round-commit record *after* the crash check, so recovery never
      *  re-fires a crash that already happened. */
     // ef-audit: transient(hash: journaled (codec) but excluded from the digest — both sides of a crash boundary must agree on the pre-crash history)
     std::uint64_t sched_crash_cursor_ = 0;
-    /** Round of the last snapshot (cadence base). */
-    // ef-audit: transient(all: snapshot cadence memo; a recovered run restarts its cadence at the recovery point)
-    std::uint64_t snapshot_round_ = 0;
-    /** A cadence snapshot is due at the next event-loop boundary. */
-    // ef-audit: transient(all: drains at the next boundary, never live at a commit point)
-    bool snapshot_pending_ = false;
     // ef-audit: transient(all: the crashed side never persists again; the recovering side starts false)
     bool crashed_ = false;
 

@@ -7,17 +7,20 @@
  * re-delivered by the replay — while the starvation-horizon bound and
  * the round-hash chain both survive the crash. Also covers the
  * simulator's streaming-admission (service) mode through the same
- * crash-at-round harness.
+ * crash-at-round harness, and the typed errors both drivers give for a
+ * journal whose round commits skip a round or are truncated.
  */
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "fault/fault.h"
+#include "recover/journal.h"
 #include "recover/log.h"
 #include "sched/scheduler.h"
 #include "serve/service.h"
@@ -155,23 +158,30 @@ TEST(ServiceRecovery, CrashAtEverySubmissionPrefix)
         reference.submit(sub);
     reference.finish();
 
-    for (int crash = 1; crash < kSubs; crash += 3) {
-        const std::string dir =
-            fresh_dir("ef_service_prefix_" + std::to_string(crash));
-        {
-            serve::Service service(pressured_config());
-            ASSERT_TRUE(
-                service.bind_durability(dir, 4, false).ok());
-            for (int i = 0; i < crash; ++i)
-                service.submit(subs[static_cast<std::size_t>(i)]);
+    // snapshot_every = 1 makes nearly every round's cadence snapshot
+    // land at the end of a submit() that committed it, so the deferral
+    // past the in-flight submission's journal record is exercised.
+    for (const std::uint64_t every : {std::uint64_t{1}, std::uint64_t{4}}) {
+        for (int crash = 1; crash < kSubs; crash += 3) {
+            const std::string dir =
+                fresh_dir("ef_service_prefix_" + std::to_string(every) +
+                          "_" + std::to_string(crash));
+            {
+                serve::Service service(pressured_config());
+                ASSERT_TRUE(
+                    service.bind_durability(dir, every, false).ok());
+                for (int i = 0; i < crash; ++i)
+                    service.submit(subs[static_cast<std::size_t>(i)]);
+            }
+            serve::Service recovered(pressured_config());
+            ASSERT_TRUE(recovered.bind_durability(dir, every, true).ok());
+            for (int i = crash; i < kSubs; ++i)
+                recovered.submit(subs[static_cast<std::size_t>(i)]);
+            recovered.finish();
+            EXPECT_EQ(recovered.state_hash(), reference.state_hash())
+                << "snapshot_every " << every << ", crash after "
+                << "submission " << crash;
         }
-        serve::Service recovered(pressured_config());
-        ASSERT_TRUE(recovered.bind_durability(dir, 4, true).ok());
-        for (int i = crash; i < kSubs; ++i)
-            recovered.submit(subs[static_cast<std::size_t>(i)]);
-        recovered.finish();
-        EXPECT_EQ(recovered.state_hash(), reference.state_hash())
-            << "crash after submission " << crash;
     }
 }
 
@@ -285,6 +295,113 @@ TEST(ServiceRecovery, SimulatorServiceModeCrashRecovers)
             << "round " << n;
     }
 }
+
+enum class Driver { kSimulator, kService };
+enum class BadCommit { kSkipsARound, kTruncatedBody };
+
+/** The simulator run behind the bad-commit cases: crashes at round 3. */
+recover::Status
+run_simulator(const std::string &dir, bool recover)
+{
+    TraceGenConfig gen = testbed_small_preset();
+    gen.seed = 13;
+    SimConfig config;
+    config.durability.journal_dir = dir;
+    config.durability.recover = recover;
+    FaultEvent crash;
+    crash.type = FaultType::kSchedCrash;
+    crash.target = 3;
+    config.faults.script.push_back(crash);
+    auto scheduler = make_scheduler("elasticflow");
+    Simulator sim(TraceGenerator::generate(gen), scheduler.get(), config);
+    if (recover)
+        return sim.prepare_durability();
+    sim.run();
+    EXPECT_TRUE(sim.crashed());
+    return recover::Status{};
+}
+
+/**
+ * A fresh run of @p driver that leaves a real journal ending in round
+ * commits, or (with @p recover) the driver's recovery from it.
+ */
+recover::Status
+run_driver(Driver driver, const std::string &dir, bool recover)
+{
+    if (driver == Driver::kSimulator)
+        return run_simulator(dir, recover);
+    serve::Service service(pressured_config());
+    // No cadence snapshot, so every round commit stays journaled.
+    recover::Status st = service.bind_durability(dir, 1000, recover);
+    if (!recover) {
+        EXPECT_TRUE(st.ok()) << st.to_string();
+        for (const serve::Submission &sub : burst_stream(12, 3))
+            service.submit(sub);
+    }
+    return st;
+}
+
+class BadRoundCommit
+    : public testing::TestWithParam<std::tuple<Driver, BadCommit>>
+{
+};
+
+TEST_P(BadRoundCommit, IsATypedErrorFromEitherDriver)
+{
+    // A checksum-valid round commit with a bad body appended to a real
+    // journal: recovery must refuse it with a typed kBadRecord, never
+    // abort.
+    const auto [driver, bad] = GetParam();
+    const std::string dir = fresh_dir(
+        "ef_bad_commit_" +
+        std::to_string(static_cast<int>(driver)) + "_" +
+        std::to_string(static_cast<int>(bad)));
+    run_driver(driver, dir, /*recover=*/false);
+    const std::string path = recover::DurableLog::journal_path(dir);
+    recover::JournalContents contents;
+    ASSERT_TRUE(recover::read_journal(path, &contents).ok());
+    std::string body;
+    for (const recover::JournalRecord &rec : contents.records) {
+        if (rec.kind == recover::RecordKind::kRoundCommit)
+            body = rec.body;
+    }
+    ASSERT_FALSE(body.empty()) << "the journal holds no round commit";
+    if (bad == BadCommit::kSkipsARound) {
+        // The body starts with the u64 round: jump one ahead.
+        recover::Decoder dec(body);
+        std::uint64_t round = 0;
+        ASSERT_TRUE(dec.u64(&round));
+        recover::Encoder skipped;
+        skipped.u64(round + 2);
+        body = skipped.data() + body.substr(8);
+    } else {
+        body.pop_back();
+    }
+    {
+        recover::JournalWriter writer;
+        ASSERT_TRUE(writer.open(path, false, contents.valid_bytes).ok());
+        ASSERT_TRUE(
+            writer.append(recover::RecordKind::kRoundCommit, body).ok());
+        ASSERT_TRUE(writer.commit().ok());
+    }
+    const recover::Status st = run_driver(driver, dir, /*recover=*/true);
+    EXPECT_EQ(st.code, recover::ErrorCode::kBadRecord) << st.to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BothDrivers, BadRoundCommit,
+    testing::Combine(testing::Values(Driver::kSimulator,
+                                     Driver::kService),
+                     testing::Values(BadCommit::kSkipsARound,
+                                     BadCommit::kTruncatedBody)),
+    [](const testing::TestParamInfo<BadRoundCommit::ParamType> &c) {
+        return std::string(std::get<0>(c.param) == Driver::kService
+                               ? "Service"
+                               : "Simulator") +
+               (std::get<1>(c.param) == BadCommit::kSkipsARound
+                    ? "SkipsARound"
+                    : "TruncatedBody");
+    });
 
 }  // namespace
 }  // namespace ef
